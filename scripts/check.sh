@@ -13,8 +13,9 @@
 #      difficulty shift must be detected, the EnsembleLink candidate
 #      retrained, snapshot round-tripped, shadow-promoted, and a faulted
 #      shadow window rolled back; the drift_* manifest keys validated
-#   5. TSan build + the concurrency-bearing tests (parallel pool, frozen
-#      feature cache, thread-count invariance, metrics shards)
+#   5. TSan build + the concurrency-bearing tests (parallel pool, the
+#      columnar store's parallel build and concurrent reads, thread-count
+#      invariance, metrics shards)
 #   6. observability end-to-end: one bench with RLBENCH_METRICS +
 #      RLBENCH_TRACE, manifest + trace validated by
 #      tools/validate_manifest.py
@@ -186,15 +187,20 @@ cmake -B "${TSAN_DIR}" -S "${REPO_ROOT}" \
   -DRLBENCH_WERROR=ON
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target \
   common_test data_test core_test obs_test
-# Only the tests that exercise the pool and the frozen-cache read phase;
-# the full suite already ran under ASan/UBSan above. TSan halts on the
-# first race, so a pass here is a proof of race-freedom for these paths.
+# Only the tests that exercise the pool, the columnar store's parallel
+# build and concurrent reads, and the thread-count invariance of the
+# measure pipeline; the full suite already ran under ASan/UBSan above.
+# TSan halts on the first race, so a pass here is a proof of race-freedom
+# for these paths.
 (
   cd "${TSAN_DIR}"
-  TSAN_OPTIONS="halt_on_error=1" ./tests/common_test \
+  # die_after_fork=0: ParallelForkTest's child starts a fresh pool after
+  # forking a process with live workers, which TSan otherwise refuses to
+  # run at all; races are still reported and still halt.
+  TSAN_OPTIONS="halt_on_error=1:die_after_fork=0" ./tests/common_test \
     --gtest_filter='Parallel*:SplitSeed*'
   TSAN_OPTIONS="halt_on_error=1" ./tests/data_test \
-    --gtest_filter='FeatureCacheTest.*'
+    --gtest_filter='ColumnarStoreTest.*'
   TSAN_OPTIONS="halt_on_error=1" ./tests/core_test \
     --gtest_filter='ThreadInvarianceTest.*'
   # The lock-free metric shards and per-thread trace buffers under real
@@ -220,10 +226,11 @@ echo "== [7/12] vectorized kernels: differential suite + bench smoke =="
     ./tests/text_test --gtest_filter='KernelsDifferential*:KernelsGolden*'
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ASAN_OPTIONS="detect_leaks=1" \
-    ./tests/data_test --gtest_filter='Columnar*:FeatureCacheCounter*'
+    ./tests/data_test --gtest_filter='Columnar*'
 )
 # micro_kernels asserts scalar == vectorized checksums internally; scale
-# and rounds stay tiny because sanitizer timings are meaningless anyway.
+# and rounds stay tiny because sanitizer timings are meaningless anyway
+# (at non-default flags it does not write BENCH_kernels.json).
 (
   cd "${SCRATCH_ROOT}"
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

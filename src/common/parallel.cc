@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <exception>
@@ -43,8 +45,18 @@ size_t EnvThreadCount() {
 class ThreadPool {
  public:
   static ThreadPool& Instance() {
-    static ThreadPool* pool = new ThreadPool();  // leaked: outlives main
-    return *pool;
+    // Leaked: outlives main. A forked child inherits the parent's pool
+    // without its worker threads, and its mutexes and condition variables
+    // in whatever state those workers left them, so the child must never
+    // touch it: the atfork child handler swaps in a fresh, unstarted pool
+    // and leaks the inherited one. The parent does no extra work.
+    static const int atfork = [] {
+      instance_ = new ThreadPool();
+      return pthread_atfork(nullptr, nullptr,
+                            [] { instance_ = new ThreadPool(); });
+    }();
+    RLBENCH_CHECK_EQ(atfork, 0);
+    return *instance_;
   }
 
   size_t thread_count() RLBENCH_EXCLUDES(config_mutex_) {
@@ -231,6 +243,10 @@ class ThreadPool {
     }
     tls_in_parallel_region = was_in_region;
   }
+
+  // The process's pool; replaced (never freed) in a forked child.
+  // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
+  static inline ThreadPool* instance_ = nullptr;
 
   // Serialises whole jobs: one Run() owns the pool at a time.
   Mutex jobs_mutex_ RLBENCH_ACQUIRED_BEFORE(config_mutex_);

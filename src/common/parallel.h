@@ -27,6 +27,9 @@
 // Sizing: RLBENCH_THREADS environment variable, else
 // std::thread::hardware_concurrency(); SetParallelThreads() overrides at
 // runtime (tests use it to sweep thread counts within one process).
+//
+// fork(): a child process starts with a fresh, unstarted pool at the
+// default size; the parent's workers do not exist in the child.
 #ifndef RLBENCH_SRC_COMMON_PARALLEL_H_
 #define RLBENCH_SRC_COMMON_PARALLEL_H_
 

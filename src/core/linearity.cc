@@ -5,7 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ml/metrics.h"
-#include "text/similarity.h"
+#include "text/kernels.h"
 
 namespace rlbench::core {
 
@@ -21,27 +21,23 @@ std::vector<FeaturePoint> PairFeaturePoints(
   auto all = context.task().AllPairs();
   RLBENCH_COUNTER_ADD("linearity/pairs_scored", all.size());
   std::vector<FeaturePoint> points(all.size());
-  // The MatchingContext constructor warmed every token slot, so the caches
-  // freeze for the duration of the concurrent scoring pass.
-  context.left().Freeze();
-  context.right().Freeze();
+  const data::ColumnarStore& store = context.columnar();
   ParallelFor(0, all.size(), kPairGrain, [&](size_t i) {
-    const auto& a = context.left().TokenSetAll(all[i].left);
-    const auto& b = context.right().TokenSetAll(all[i].right);
-    points[i] = {text::CosineSimilarity(a, b), text::JaccardSimilarity(a, b),
-                 all[i].is_match};
+    text::kernels::SetSims sims = text::kernels::SetFamilySortedU32(
+        store.TokenIdsAll(data::ColumnarStore::kLeft, all[i].left),
+        store.TokenIdsAll(data::ColumnarStore::kRight, all[i].right));
+    points[i] = {sims.cosine, sims.jaccard, all[i].is_match};
     RLBENCH_DCHECK_PROB(points[i].cs);
     RLBENCH_DCHECK_PROB(points[i].js);
   });
-  context.left().Thaw();
-  context.right().Thaw();
   return points;
 }
 
 std::vector<LinearityResult> ComputeLinearityPerAttribute(
     const matchers::MatchingContext& context) {
   RLBENCH_TRACE_SPAN("linearity/per_attribute");
-  size_t num_attrs = context.task().left().schema().num_attributes();
+  const data::ColumnarStore& store = context.columnar();
+  size_t num_attrs = store.num_attrs();
   auto all = context.task().AllPairs();
   std::vector<uint8_t> labels;
   labels.reserve(all.size());
@@ -51,22 +47,19 @@ std::vector<LinearityResult> ComputeLinearityPerAttribute(
   results.reserve(num_attrs);
   std::vector<double> cosine(all.size());
   std::vector<double> jaccard(all.size());
-  context.left().Freeze();
-  context.right().Freeze();
   for (size_t a = 0; a < num_attrs; ++a) {
     ParallelFor(0, all.size(), kPairGrain, [&](size_t i) {
-      const auto& left = context.left().TokenSetAttr(all[i].left, a);
-      const auto& right = context.right().TokenSetAttr(all[i].right, a);
-      cosine[i] = text::CosineSimilarity(left, right);
-      jaccard[i] = text::JaccardSimilarity(left, right);
+      text::kernels::SetSims sims = text::kernels::SetFamilySortedU32(
+          store.TokenIdsAttr(data::ColumnarStore::kLeft, all[i].left, a),
+          store.TokenIdsAttr(data::ColumnarStore::kRight, all[i].right, a));
+      cosine[i] = sims.cosine;
+      jaccard[i] = sims.jaccard;
     });
     auto cs = ml::SweepThresholds(cosine, labels);
     auto js = ml::SweepThresholds(jaccard, labels);
     results.push_back(
         {cs.best_f1, cs.best_threshold, js.best_f1, js.best_threshold});
   }
-  context.left().Thaw();
-  context.right().Thaw();
   return results;
 }
 

@@ -5,15 +5,19 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/strings.h"
+#include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "text/kernels.h"
+#include "text/qgrams.h"
+#include "text/tokenizer.h"
 
 namespace rlbench::data {
 
 namespace {
-// Records per chunk in the parallel fill passes; columnar fill per record
-// is a few microseconds, matching the feature-cache warm grain.
+// Records per chunk in the per-record passes: tokenizing or filling one
+// record costs a few microseconds, so chunks this coarse keep dispatch
+// overhead negligible.
 constexpr size_t kBuildGrain = 64;
 }  // namespace
 
@@ -50,38 +54,79 @@ std::span<const float> PackedMatrix::sorted_row(size_t r) const {
   return {sorted_.data() + r * cols_, cols_};
 }
 
-ColumnarStore::ColumnarStore(const RecordFeatureCache& left,
-                             const RecordFeatureCache& right)
-    : caches_{&left, &right},
-      num_attrs_(left.table().schema().num_attributes()) {
+/// One record's tokens, made by the parallel tokenize pass and dropped once
+/// the columns are filled.
+struct ColumnarStore::RecordTokens {
+  std::vector<std::vector<std::string>> seqs;  // text::Tokenize per attribute
+  std::vector<text::TokenSet> sets;            // token set per attribute
+  std::vector<uint64_t> all;  // union of `sets`: the all-attribute token set
+};
+
+namespace {
+
+/// Runs body(r) for every record r in [0, n), in parallel — or serially when
+/// the `data/columnar/build` failpoint fires (injected allocation pressure).
+/// Each record writes only its own slot, so the bits are the same either
+/// way; only the wall-clock changes.
+template <typename Body>
+void ForEachRecord(size_t n, const Body& body) {
+  if (RLBENCH_FAULT_POINT("data/columnar/build")) {
+    RLBENCH_COUNTER_INC("columnar/degraded_serial_builds");
+    for (size_t r = 0; r < n; ++r) body(r);
+    return;
+  }
+  ParallelFor(0, n, kBuildGrain, body);
+}
+
+}  // namespace
+
+ColumnarStore::ColumnarStore(const Table& left, const Table& right)
+    : tables_{&left, &right}, num_attrs_(left.schema().num_attributes()) {
   RLBENCH_TRACE_SPAN("data/columnar/build");
-  RLBENCH_CHECK_EQ(num_attrs_,
-                   right.table().schema().num_attributes());
-  // Token slots must be complete before the parallel fill reads them; the
-  // re-warm is a no-op when the context already warmed the caches.
-  if (!left.frozen()) left.WarmTokens();
-  if (!right.frozen()) right.WarmTokens();
-  BuildVocab();
-  BuildTokenColumns(kLeft);
-  BuildTokenColumns(kRight);
+  RLBENCH_CHECK_EQ(num_attrs_, right.schema().num_attributes());
+  std::array<std::vector<RecordTokens>, 2> tokens;
+  {
+    RLBENCH_TRACE_SPAN("data/columnar/tokenize");
+    for (size_t side : {kLeft, kRight}) {
+      const Table& table = *tables_[side];
+      tokens[side].resize(table.size());
+      ForEachRecord(table.size(), [&](size_t r) {
+        const Record& row = table.record(r);
+        RLBENCH_DCHECK_EQ(row.values.size(), num_attrs_);
+        RecordTokens& out = tokens[side][r];
+        out.seqs.reserve(num_attrs_);
+        out.sets.reserve(num_attrs_);
+        for (size_t a = 0; a < num_attrs_; ++a) {
+          out.seqs.push_back(text::Tokenize(row.values[a]));
+          out.sets.emplace_back(out.seqs.back());
+          const auto& hashes = out.sets.back().hashes();
+          out.all.insert(out.all.end(), hashes.begin(), hashes.end());
+        }
+        std::sort(out.all.begin(), out.all.end());
+        out.all.erase(std::unique(out.all.begin(), out.all.end()),
+                      out.all.end());
+      });
+    }
+  }
+  BuildVocab(tokens);
+  BuildTokenColumns(kLeft, tokens[kLeft]);
+  BuildTokenColumns(kRight, tokens[kRight]);
   RLBENCH_GAUGE_OBSERVE("columnar/vocab_size", vocab_.size());
   RLBENCH_COUNTER_ADD("columnar/token_ids", sides_[kLeft].ids_all.size() +
                                                 sides_[kRight].ids_all.size());
 }
 
-void ColumnarStore::BuildVocab() {
+void ColumnarStore::BuildVocab(
+    const std::array<std::vector<RecordTokens>, 2>& tokens) {
   RLBENCH_TRACE_SPAN("data/columnar/vocab");
   size_t total = 0;
-  for (const RecordFeatureCache* cache : caches_) {
-    for (size_t r = 0; r < cache->table().size(); ++r) {
-      total += cache->TokenSetAll(r).size();
-    }
+  for (const auto& side : tokens) {
+    for (const RecordTokens& record : side) total += record.all.size();
   }
   vocab_.reserve(total);
-  for (const RecordFeatureCache* cache : caches_) {
-    for (size_t r = 0; r < cache->table().size(); ++r) {
-      const auto& hashes = cache->TokenSetAll(r).hashes();
-      vocab_.insert(vocab_.end(), hashes.begin(), hashes.end());
+  for (const auto& side : tokens) {
+    for (const RecordTokens& record : side) {
+      vocab_.insert(vocab_.end(), record.all.begin(), record.all.end());
     }
   }
   std::sort(vocab_.begin(), vocab_.end());
@@ -115,10 +160,10 @@ void MapHashesToIds(const std::vector<uint64_t>& hashes,
 
 }  // namespace
 
-void ColumnarStore::BuildTokenColumns(size_t side) {
+void ColumnarStore::BuildTokenColumns(size_t side,
+                                      const std::vector<RecordTokens>& tokens) {
   RLBENCH_TRACE_SPAN("data/columnar/token_columns");
-  const RecordFeatureCache& cache = *caches_[side];
-  const Table& table = cache.table();
+  const Table& table = *tables_[side];
   SideColumns& c = sides_[side];
   size_t n = table.size();
   size_t attrs = num_attrs_;
@@ -133,15 +178,15 @@ void ColumnarStore::BuildTokenColumns(size_t side) {
   std::vector<size_t> token_byte_off(n * attrs + 1, 0);
   std::vector<size_t> lowered_off(n * attrs + 1, 0);
   for (size_t r = 0; r < n; ++r) {
-    c.ids_all_off[r + 1] = c.ids_all_off[r] + cache.TokenSetAll(r).size();
+    c.ids_all_off[r + 1] = c.ids_all_off[r] + tokens[r].all.size();
     for (size_t a = 0; a < attrs; ++a) {
       size_t slot = r * attrs + a;
       c.ids_attr_off[slot + 1] =
-          c.ids_attr_off[slot] + cache.TokenSetAttr(r, a).size();
-      const auto& tokens = cache.TokensAttr(r, a);
+          c.ids_attr_off[slot] + tokens[r].sets[a].size();
+      const auto& seq = tokens[r].seqs[a];
       size_t bytes = 0;
-      for (const auto& t : tokens) bytes += t.size();
-      c.token_seq_off[slot + 1] = c.token_seq_off[slot] + tokens.size();
+      for (const auto& t : seq) bytes += t.size();
+      c.token_seq_off[slot + 1] = c.token_seq_off[slot] + seq.size();
       token_byte_off[slot + 1] = token_byte_off[slot] + bytes;
       lowered_off[slot + 1] =
           lowered_off[slot] + table.record(r).values[a].size();
@@ -159,21 +204,19 @@ void ColumnarStore::BuildTokenColumns(size_t side) {
   c.numeric_val.assign(n * attrs, 0.0);
 
   ParallelFor(0, n, kBuildGrain, [&](size_t r) {
-    MapHashesToIds(cache.TokenSetAll(r).hashes(), vocab_,
-                   c.ids_all.data() + c.ids_all_off[r]);
+    MapHashesToIds(tokens[r].all, vocab_, c.ids_all.data() + c.ids_all_off[r]);
     for (size_t a = 0; a < attrs; ++a) {
       size_t slot = r * attrs + a;
-      MapHashesToIds(cache.TokenSetAttr(r, a).hashes(), vocab_,
+      MapHashesToIds(tokens[r].sets[a].hashes(), vocab_,
                      c.ids_attr.data() + c.ids_attr_off[slot]);
-      const auto& tokens = cache.TokensAttr(r, a);
+      const auto& seq = tokens[r].seqs[a];
       size_t byte_pos = token_byte_off[slot];
-      for (size_t t = 0; t < tokens.size(); ++t) {
-        std::copy(tokens[t].begin(), tokens[t].end(),
+      for (size_t t = 0; t < seq.size(); ++t) {
+        std::copy(seq[t].begin(), seq[t].end(),
                   c.token_chars.begin() + byte_pos);
         c.token_views[c.token_seq_off[slot] + t] =
-            std::string_view(c.token_chars.data() + byte_pos,
-                             tokens[t].size());
-        byte_pos += tokens[t].size();
+            std::string_view(c.token_chars.data() + byte_pos, seq[t].size());
+        byte_pos += seq[t].size();
       }
       const std::string& value = table.record(r).values[a];
       c.values[slot] = value;
@@ -194,9 +237,6 @@ void ColumnarStore::BuildTokenColumns(size_t side) {
 void ColumnarStore::EnsureQGrams() const {
   if (qgrams_built_) return;
   RLBENCH_TRACE_SPAN("data/columnar/qgrams");
-  for (const RecordFeatureCache* cache : caches_) {
-    if (!cache->frozen()) cache->WarmQGrams();
-  }
   BuildQGramColumns(kLeft);
   BuildQGramColumns(kRight);
   qgrams_built_ = true;
@@ -206,47 +246,57 @@ void ColumnarStore::EnsureQGrams() const {
 }
 
 void ColumnarStore::BuildQGramColumns(size_t side) const {
-  const RecordFeatureCache& cache = *caches_[side];
+  const Table& table = *tables_[side];
   SideColumns& c = sides_[side];
   size_t n = c.records;
   size_t attrs = num_attrs_;
 
+  // Per record, in pool slot order: the kNumQ schema-agnostic sets, then
+  // kNumQ sets per attribute.
+  std::vector<std::vector<text::TokenSet>> sets(n);
+  ForEachRecord(n, [&](size_t r) {
+    const Record& row = table.record(r);
+    std::string all_text = row.ConcatenatedValues();
+    if (all_text.size() > kQGramCharCap) all_text.resize(kQGramCharCap);
+    std::vector<text::TokenSet>& out = sets[r];
+    out.reserve((attrs + 1) * kNumQ);
+    for (int q = kMinQ; q <= kMaxQ; ++q) {
+      out.push_back(text::QGramSet(all_text, q));
+    }
+    for (size_t a = 0; a < attrs; ++a) {
+      std::string_view value = row.values[a];
+      for (int q = kMinQ; q <= kMaxQ; ++q) {
+        out.push_back(text::QGramSet(value.substr(0, kQGramCharCap), q));
+      }
+    }
+  });
+
   c.qgram_all_off.assign(n * kNumQ + 1, 0);
   c.qgram_attr_off.assign(n * attrs * kNumQ + 1, 0);
   for (size_t r = 0; r < n; ++r) {
-    for (int q = kMinQ; q <= kMaxQ; ++q) {
-      size_t qi = static_cast<size_t>(q - kMinQ);
-      size_t slot = r * kNumQ + qi;
-      c.qgram_all_off[slot + 1] =
-          c.qgram_all_off[slot] + cache.QGramSetAll(r, q).size();
-      for (size_t a = 0; a < attrs; ++a) {
-        size_t attr_slot = (r * attrs + a) * kNumQ + qi;
-        c.qgram_attr_off[attr_slot + 1] = cache.QGramSetAttr(r, a, q).size();
-      }
+    for (size_t k = 0; k < kNumQ; ++k) {
+      size_t slot = r * kNumQ + k;
+      c.qgram_all_off[slot + 1] = c.qgram_all_off[slot] + sets[r][k].size();
+    }
+    for (size_t k = 0; k < attrs * kNumQ; ++k) {
+      size_t slot = r * attrs * kNumQ + k;
+      c.qgram_attr_off[slot + 1] =
+          c.qgram_attr_off[slot] + sets[r][kNumQ + k].size();
     }
   }
-  // The attr sizing above stored per-slot sizes; prefix-sum them serially
-  // (the nested loop order over (r, q, a) differs from slot order, so the
-  // running sum cannot be kept inline there).
-  for (size_t s = 0; s < n * attrs * kNumQ; ++s) {
-    c.qgram_attr_off[s + 1] += c.qgram_attr_off[s];
-  }
-
   c.qgram_all.resize(c.qgram_all_off[n * kNumQ]);
   c.qgram_attr.resize(c.qgram_attr_off[n * attrs * kNumQ]);
 
   ParallelFor(0, n, kBuildGrain, [&](size_t r) {
-    for (int q = kMinQ; q <= kMaxQ; ++q) {
-      size_t qi = static_cast<size_t>(q - kMinQ);
-      const auto& all = cache.QGramSetAll(r, q).hashes();
-      std::copy(all.begin(), all.end(),
-                c.qgram_all.begin() + c.qgram_all_off[r * kNumQ + qi]);
-      for (size_t a = 0; a < attrs; ++a) {
-        size_t attr_slot = (r * attrs + a) * kNumQ + qi;
-        const auto& hashes = cache.QGramSetAttr(r, a, q).hashes();
-        std::copy(hashes.begin(), hashes.end(),
-                  c.qgram_attr.begin() + c.qgram_attr_off[attr_slot]);
-      }
+    for (size_t k = 0; k < kNumQ; ++k) {
+      const auto& hashes = sets[r][k].hashes();
+      std::copy(hashes.begin(), hashes.end(),
+                c.qgram_all.begin() + c.qgram_all_off[r * kNumQ + k]);
+    }
+    for (size_t k = 0; k < attrs * kNumQ; ++k) {
+      const auto& hashes = sets[r][kNumQ + k].hashes();
+      std::copy(hashes.begin(), hashes.end(),
+                c.qgram_attr.begin() + c.qgram_attr_off[r * attrs * kNumQ + k]);
     }
   });
 }

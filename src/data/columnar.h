@@ -1,34 +1,39 @@
-// Structure-of-arrays columnar view over one matching task's two tables
-// (ISSUE 7 tentpole). The row-oriented model (Table of Records holding
-// std::string values, RecordFeatureCache holding per-record TokenSets)
-// stays the source of truth and the cold-path API; this store lays the same
-// derived features out contiguously so the batch extraction loops run the
-// vectorized kernels in text/kernels.h without per-pair allocation or
-// pointer chasing:
+// Structure-of-arrays feature store over one matching task's two tables:
+// the only production representation of the per-record tokens and q-grams
+// that the difficulty measures and every matcher read. The store tokenizes
+// the Tables itself and lays the derived features out contiguously, so the
+// extraction loops run the kernels in text/kernels.h without per-pair
+// allocation or pointer chasing:
 //
 //   * Token ids — every distinct token hash across BOTH tables is interned
 //     as its rank in the globally sorted unique hash vocabulary. The
 //     mapping hash -> id is therefore a monotone bijection: a record's
 //     sorted unique hash set maps to a sorted unique uint32 id array with
 //     identical pairwise intersection counts, so set similarities over id
-//     spans are bit-identical to the TokenSet scalar path at half the
+//     spans are bit-identical to the text::TokenSet scalar path at half the
 //     memory bandwidth. Rank interning also makes ids independent of
 //     record insertion order by construction.
 //   * Per-record id arrays (schema-agnostic and per-attribute) live in two
 //     contiguous pools addressed by offset indexes.
-//   * Ordered token sequences (for Monge-Elkan) are string_views into one
-//     packed character arena per side.
-//   * Per-value derivations that the row path recomputes per PAIR are
+//   * Ordered token sequences are string_views into one packed character
+//     arena per side, in (record, attribute) order, so a record's
+//     all-attribute sequence (text::TokenizeAll of its values) is one span.
+//   * Per-value derivations that a scalar path recomputes per PAIR are
 //     hoisted to once per RECORD: lower-cased values (exact match),
 //     strtod parses (numeric similarity).
-//   * Q-gram sets (lazy, EnsureQGrams) keep their raw salted uint64 hashes
-//     in contiguous sorted pools — q-grams have no shared vocabulary worth
-//     building.
+//   * Q-gram sets (on demand, EnsureQGrams) are hashed straight from the
+//     values, capped at kQGramCharCap characters, into contiguous sorted
+//     pools of raw salted uint64 hashes — q-grams have no shared vocabulary
+//     worth building.
 //
-// Build is deterministic at any thread count: a serial sizing pass pins
-// every offset, then a ParallelFor fills disjoint slices (the
-// common/parallel.h contract). Differential coverage lives in
-// tests/data/columnar_test.cc and tests/text/kernels_differential_test.cc.
+// Build is deterministic at any thread count: a per-record pass tokenizes
+// (or hashes q-grams) in parallel into per-record scratch, a serial sizing
+// pass pins every offset, then a ParallelFor fills disjoint slices (the
+// common/parallel.h contract). The `data/columnar/build` failpoint runs the
+// per-record passes serially instead; the bits are the same. Oracle
+// coverage: tests/data/columnar_test.cc checks every column against
+// text::Tokenize / TokenSet / QGramSet over the raw values, and
+// tests/text/kernels_differential_test.cc checks the features built on it.
 #ifndef RLBENCH_SRC_DATA_COLUMNAR_H_
 #define RLBENCH_SRC_DATA_COLUMNAR_H_
 
@@ -39,7 +44,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "data/feature_cache.h"
+#include "data/record.h"
 
 namespace rlbench::data {
 
@@ -76,22 +81,26 @@ class PackedMatrix {
 
 /// \brief Columnar token / q-gram / value columns over (left, right).
 ///
-/// Threading contract mirrors RecordFeatureCache: construction and
-/// EnsureQGrams() are warm-phase operations (single caller, internally
-/// parallel); afterwards any number of threads may call the accessors
-/// concurrently — all reads, no mutation.
+/// Threading contract: construction and EnsureQGrams() are single-caller
+/// operations (internally parallel) that run outside parallel regions, and
+/// EnsureQGrams() must run before any concurrent q-gram read. Every other
+/// method is a read, safe from any number of threads.
 class ColumnarStore {
  public:
   static constexpr size_t kLeft = 0;
   static constexpr size_t kRight = 1;
-  static constexpr int kMinQ = RecordFeatureCache::kMinQ;
-  static constexpr int kMaxQ = RecordFeatureCache::kMaxQ;
+  static constexpr int kMinQ = 2;
+  static constexpr int kMaxQ = 10;
 
-  /// Builds the token columns (warms the caches' token slots first if the
-  /// caller has not). Both caches must outlive the store (EnsureQGrams
-  /// reads them again).
-  ColumnarStore(const RecordFeatureCache& left,
-                const RecordFeatureCache& right);
+  /// Characters of text considered when building q-gram sets; bounds the
+  /// per-record memory on long-text datasets (q-gram sets grow linearly in
+  /// text length and are kept for nine values of q).
+  static constexpr size_t kQGramCharCap = 160;
+
+  /// Tokenizes both tables and builds the token and value columns. Both
+  /// tables must outlive the store (values are views into them, and
+  /// EnsureQGrams reads them again).
+  ColumnarStore(const Table& left, const Table& right);
 
   size_t num_attrs() const { return num_attrs_; }
   size_t num_records(size_t side) const;
@@ -108,6 +117,11 @@ class ColumnarStore {
   std::span<const std::string_view> TokenSeqAttr(size_t side, size_t record,
                                                  size_t attr) const;
 
+  /// Ordered token sequence over all attribute values: the per-attribute
+  /// sequences concatenated in attribute order (text::TokenizeAll).
+  std::span<const std::string_view> TokenSeqAll(size_t side,
+                                                size_t record) const;
+
   /// Raw attribute value (view into the backing Table).
   std::string_view Value(size_t side, size_t record, size_t attr) const;
 
@@ -119,10 +133,8 @@ class ColumnarStore {
   bool NumericOk(size_t side, size_t record, size_t attr) const;
   double NumericValue(size_t side, size_t record, size_t attr) const;
 
-  /// Build the q-gram pools (warms the caches' q-gram slots first if
-  /// needed). Idempotent; warm-phase only.
+  /// Build the q-gram pools. Idempotent; see the threading contract above.
   void EnsureQGrams() const;
-  bool qgrams_built() const { return qgrams_built_; }
 
   /// Sorted unique q-gram hashes over the concatenated record text,
   /// q in [kMinQ, kMaxQ]. EnsureQGrams() must have run.
@@ -137,7 +149,7 @@ class ColumnarStore {
   uint32_t IdOfHash(uint64_t hash) const;
 
  private:
-  static constexpr int kNumQ = kMaxQ - kMinQ + 1;
+  static constexpr size_t kNumQ = kMaxQ - kMinQ + 1;
 
   struct SideColumns {
     size_t records = 0;
@@ -166,13 +178,15 @@ class ColumnarStore {
     std::vector<size_t> qgram_attr_off;
   };
 
-  void BuildVocab();
-  void BuildTokenColumns(size_t side);
+  struct RecordTokens;
+
+  void BuildVocab(const std::array<std::vector<RecordTokens>, 2>& tokens);
+  void BuildTokenColumns(size_t side, const std::vector<RecordTokens>& tokens);
   void BuildQGramColumns(size_t side) const;
 
   const SideColumns& columns(size_t side) const;
 
-  std::array<const RecordFeatureCache*, 2> caches_;
+  std::array<const Table*, 2> tables_;
   size_t num_attrs_ = 0;
   std::vector<uint64_t> vocab_;
   mutable std::array<SideColumns, 2> sides_;
@@ -219,6 +233,15 @@ inline std::span<const std::string_view> ColumnarStore::TokenSeqAttr(
   size_t slot = record * num_attrs_ + attr;
   return {c.token_views.data() + c.token_seq_off[slot],
           c.token_seq_off[slot + 1] - c.token_seq_off[slot]};
+}
+
+inline std::span<const std::string_view> ColumnarStore::TokenSeqAll(
+    size_t side, size_t record) const {
+  const SideColumns& c = columns(side);
+  RLBENCH_DCHECK_INDEX(record, c.records);
+  size_t first = c.token_seq_off[record * num_attrs_];
+  return {c.token_views.data() + first,
+          c.token_seq_off[(record + 1) * num_attrs_] - first};
 }
 
 inline std::string_view ColumnarStore::Value(size_t side, size_t record,

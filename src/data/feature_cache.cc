@@ -1,29 +1,15 @@
 #include "data/feature_cache.h"
 
-#include "common/check.h"
-#include "common/parallel.h"
-#include "fault/failpoint.h"
+#include "data/columnar.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "text/qgrams.h"
 
 namespace rlbench::data {
 
 namespace {
-// Tokenising a record costs microseconds; keep chunks coarse enough that
-// dispatch overhead stays negligible.
-constexpr size_t kWarmGrain = 64;
-
-// Under injected allocation pressure the warm-up degrades to a serial
-// fill instead of fanning out. Results are bit-identical either way (each
-// slot is owned by one record index); only the wall-clock changes.
-bool WarmSeriallyUnderPressure() {
-  if (auto hit = RLBENCH_FAULT_POINT("data/feature_cache/warm")) {
-    (void)hit;
-    RLBENCH_COUNTER_INC("feature_cache/degraded_serial_warms");
-    return true;
-  }
-  return false;
-}
+constexpr int kMinQ = ColumnarStore::kMinQ;
+constexpr int kNumQ = ColumnarStore::kMaxQ - kMinQ + 1;
+constexpr size_t kQGramCharCap = ColumnarStore::kQGramCharCap;
 }  // namespace
 
 RecordFeatureCache::RecordFeatureCache(const Table* table) : table_(table) {
@@ -39,9 +25,8 @@ RecordFeatureCache::RecordFeatureCache(const Table* table) : table_(table) {
 
 const std::vector<std::string>& RecordFeatureCache::Tokens(
     size_t record) const {
-  Entry& e = entry(record);
+  Entry& e = entries_[record];
   if (!e.tokens) {
-    RLBENCH_DCHECK(!frozen_);  // frozen-phase miss: warm-up was incomplete
     RLBENCH_COUNTER_INC("feature_cache/misses");
     e.tokens = text::TokenizeAll(table_->record(record).values);
   } else {
@@ -51,9 +36,8 @@ const std::vector<std::string>& RecordFeatureCache::Tokens(
 }
 
 const text::TokenSet& RecordFeatureCache::TokenSetAll(size_t record) const {
-  Entry& e = entry(record);
+  Entry& e = entries_[record];
   if (!e.token_set_all) {
-    RLBENCH_DCHECK(!frozen_);
     RLBENCH_COUNTER_INC("feature_cache/misses");
     e.token_set_all = text::TokenSet(Tokens(record));
   } else {
@@ -64,9 +48,8 @@ const text::TokenSet& RecordFeatureCache::TokenSetAll(size_t record) const {
 
 const text::TokenSet& RecordFeatureCache::TokenSetAttr(size_t record,
                                                        size_t attr) const {
-  Entry& e = entry(record);
+  Entry& e = entries_[record];
   if (!e.token_set_attr[attr]) {
-    RLBENCH_DCHECK(!frozen_);
     RLBENCH_COUNTER_INC("feature_cache/misses");
     e.token_set_attr[attr] = text::TokenSet(TokensAttr(record, attr));
   } else {
@@ -77,9 +60,8 @@ const text::TokenSet& RecordFeatureCache::TokenSetAttr(size_t record,
 
 const std::vector<std::string>& RecordFeatureCache::TokensAttr(
     size_t record, size_t attr) const {
-  Entry& e = entry(record);
+  Entry& e = entries_[record];
   if (!e.tokens_attr[attr]) {
-    RLBENCH_DCHECK(!frozen_);
     RLBENCH_COUNTER_INC("feature_cache/misses");
     e.tokens_attr[attr] = text::Tokenize(table_->record(record).values[attr]);
   } else {
@@ -90,10 +72,9 @@ const std::vector<std::string>& RecordFeatureCache::TokensAttr(
 
 const text::TokenSet& RecordFeatureCache::QGramSetAll(size_t record,
                                                       int q) const {
-  Entry& e = entry(record);
+  Entry& e = entries_[record];
   auto& slot = e.qgrams_all[q - kMinQ];
   if (!slot) {
-    RLBENCH_DCHECK(!frozen_);
     RLBENCH_COUNTER_INC("feature_cache/misses");
     std::string text = table_->record(record).ConcatenatedValues();
     if (text.size() > kQGramCharCap) text.resize(kQGramCharCap);
@@ -107,10 +88,9 @@ const text::TokenSet& RecordFeatureCache::QGramSetAll(size_t record,
 const text::TokenSet& RecordFeatureCache::QGramSetAttr(size_t record,
                                                        size_t attr,
                                                        int q) const {
-  Entry& e = entry(record);
+  Entry& e = entries_[record];
   auto& slot = e.qgrams_attr[attr * kNumQ + (q - kMinQ)];
   if (!slot) {
-    RLBENCH_DCHECK(!frozen_);
     RLBENCH_COUNTER_INC("feature_cache/misses");
     std::string_view text = table_->record(record).values[attr];
     slot = text::QGramSet(text.substr(0, kQGramCharCap), q);
@@ -118,71 +98,6 @@ const text::TokenSet& RecordFeatureCache::QGramSetAttr(size_t record,
     RLBENCH_COUNTER_INC("feature_cache/hits");
   }
   return *slot;
-}
-
-void RecordFeatureCache::FillTokenSlots(Entry& e, size_t record) const {
-  const Record& row = table_->record(record);
-  size_t num_attrs = table_->schema().num_attributes();
-  for (size_t a = 0; a < num_attrs; ++a) {
-    if (!e.tokens_attr[a]) e.tokens_attr[a] = text::Tokenize(row.values[a]);
-    if (!e.token_set_attr[a]) {
-      e.token_set_attr[a] = text::TokenSet(*e.tokens_attr[a]);
-    }
-  }
-  if (!e.tokens) e.tokens = text::TokenizeAll(row.values);
-  if (!e.token_set_all) e.token_set_all = text::TokenSet(*e.tokens);
-}
-
-void RecordFeatureCache::FillQGramSlots(Entry& e, size_t record) const {
-  const Record& row = table_->record(record);
-  size_t num_attrs = table_->schema().num_attributes();
-  std::string all_text = row.ConcatenatedValues();
-  if (all_text.size() > kQGramCharCap) all_text.resize(kQGramCharCap);
-  for (int q = kMinQ; q <= kMaxQ; ++q) {
-    auto& all_slot = e.qgrams_all[q - kMinQ];
-    if (!all_slot) all_slot = text::QGramSet(all_text, q);
-    for (size_t a = 0; a < num_attrs; ++a) {
-      auto& slot = e.qgrams_attr[a * kNumQ + (q - kMinQ)];
-      if (!slot) {
-        std::string_view text = row.values[a];
-        slot = text::QGramSet(text.substr(0, kQGramCharCap), q);
-      }
-    }
-  }
-}
-
-void RecordFeatureCache::WarmTokens() const {
-  RLBENCH_CHECK_MSG(!frozen_, "WarmTokens on a frozen RecordFeatureCache");
-  if (tokens_warmed_) return;
-  tokens_warmed_ = true;
-  RLBENCH_TRACE_SPAN("feature_cache/warm_tokens");
-  RLBENCH_COUNTER_ADD("feature_cache/warmed_token_records", entries_.size());
-  RLBENCH_GAUGE_OBSERVE("feature_cache/entries", entries_.size());
-  if (WarmSeriallyUnderPressure()) {
-    for (size_t record = 0; record < entries_.size(); ++record) {
-      FillTokenSlots(entry(record), record);
-    }
-    return;
-  }
-  ParallelFor(0, entries_.size(), kWarmGrain,
-              [this](size_t record) { FillTokenSlots(entry(record), record); });
-}
-
-void RecordFeatureCache::WarmQGrams() const {
-  RLBENCH_CHECK_MSG(!frozen_, "WarmQGrams on a frozen RecordFeatureCache");
-  if (qgrams_warmed_) return;
-  qgrams_warmed_ = true;
-  RLBENCH_TRACE_SPAN("feature_cache/warm_qgrams");
-  RLBENCH_COUNTER_ADD("feature_cache/warmed_qgram_records", entries_.size());
-  RLBENCH_GAUGE_OBSERVE("feature_cache/entries", entries_.size());
-  if (WarmSeriallyUnderPressure()) {
-    for (size_t record = 0; record < entries_.size(); ++record) {
-      FillQGramSlots(entry(record), record);
-    }
-    return;
-  }
-  ParallelFor(0, entries_.size(), kWarmGrain,
-              [this](size_t record) { FillQGramSlots(entry(record), record); });
 }
 
 }  // namespace rlbench::data

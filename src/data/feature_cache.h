@@ -1,47 +1,23 @@
-// Per-record derived-feature caches. Records participate in many candidate
-// pairs, so token sets, q-gram sets and token sequences are computed once
-// per record and shared across every pair that touches the record. This is
-// the main performance lever for Algorithm 1, the ESDE matchers and the
-// Magellan feature extractor.
+// Row-oriented per-record text features over one table: the scalar
+// reference that tests and benchmarks compare data::ColumnarStore (the
+// production representation) against. Each accessor computes its value
+// with the text:: scalar functions on first use and returns the memoised
+// object afterwards. Single-threaded: the lazy fills are unsynchronised.
 #ifndef RLBENCH_SRC_DATA_FEATURE_CACHE_H_
 #define RLBENCH_SRC_DATA_FEATURE_CACHE_H_
 
-#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "data/record.h"
-#include "text/qgrams.h"
 #include "text/tokenizer.h"
 
 namespace rlbench::data {
 
 /// \brief Lazily memoised per-record text features over one table.
-///
-/// Two-phase threading contract (common/parallel.h drives the phases):
-///
-///   Phase 1 — warm-up. Entries are filled either lazily by the accessors
-///   (single-threaded callers only) or in bulk by the Warm*() methods,
-///   which parallelise over records (each record's entry is written by
-///   exactly one chunk, so warm-up itself is deterministic and race-free).
-///
-///   Phase 2 — frozen. After Freeze() the cache is immutable and any number
-///   of threads may call the accessors concurrently. A cache miss in this
-///   phase is a contract violation (the warm-up was incomplete) and trips
-///   RLBENCH_DCHECK instead of racing on a lazy fill. Thaw() re-enters
-///   phase 1; the caller must sequence it after all concurrent readers
-///   have finished (parallel regions in this codebase always end before
-///   control returns, so calling Thaw() between regions is safe).
 class RecordFeatureCache {
  public:
-  static constexpr int kMinQ = 2;
-  static constexpr int kMaxQ = 10;
-
-  /// Characters of text considered when building q-gram sets; bounds the
-  /// per-record memory on long-text datasets (q-gram sets grow linearly in
-  /// text length and are cached for nine values of q).
-  static constexpr size_t kQGramCharCap = 160;
-
   explicit RecordFeatureCache(const Table* table);
 
   const Table& table() const { return *table_; }
@@ -58,32 +34,13 @@ class RecordFeatureCache {
   /// Tokens of one attribute value.
   const std::vector<std::string>& TokensAttr(size_t record, size_t attr) const;
 
-  /// q-gram set over the concatenation of all attribute values,
-  /// q in [kMinQ, kMaxQ].
+  /// q-gram set over the concatenation of all attribute values, q in
+  /// [ColumnarStore::kMinQ, ColumnarStore::kMaxQ], text capped at
+  /// ColumnarStore::kQGramCharCap characters.
   const text::TokenSet& QGramSetAll(size_t record, int q) const;
 
-  /// q-gram set of one attribute value.
+  /// q-gram set of one attribute value (same q range and cap).
   const text::TokenSet& QGramSetAttr(size_t record, size_t attr, int q) const;
-
-  // --- Phase control ---------------------------------------------------------
-
-  /// Bulk-fill every token-derived slot (Tokens, TokenSetAll, per-attribute
-  /// tokens and token sets) for all records; parallel over records.
-  /// Warm-up phase only.
-  void WarmTokens() const;
-
-  /// Bulk-fill every q-gram slot (schema-agnostic and per-attribute, all q)
-  /// for all records; parallel over records. Warm-up phase only.
-  void WarmQGrams() const;
-
-  /// Enter the frozen (immutable, concurrent-read) phase. Idempotent.
-  void Freeze() const { frozen_ = true; }
-
-  /// Return to the warm-up phase. The caller must guarantee no concurrent
-  /// readers are in flight.
-  void Thaw() const { frozen_ = false; }
-
-  bool frozen() const { return frozen_; }
 
  private:
   struct Entry {
@@ -97,26 +54,8 @@ class RecordFeatureCache {
     std::vector<std::optional<text::TokenSet>> qgrams_attr;
   };
 
-  static constexpr int kNumQ = kMaxQ - kMinQ + 1;
-
-  Entry& entry(size_t record) const { return entries_[record]; }
-
-  /// Fill every token-derived slot of one record (warm-up work item).
-  void FillTokenSlots(Entry& e, size_t record) const;
-
-  /// Fill every q-gram slot of one record (warm-up work item).
-  void FillQGramSlots(Entry& e, size_t record) const;
-
   const Table* table_;
   mutable std::vector<Entry> entries_;
-  mutable bool frozen_ = false;
-  // Warm*() is idempotent and gets re-invoked from both the row path
-  // (MatchingContext construction) and the batch paths (ESDE warm-up,
-  // ColumnarStore build). These flags make the re-warms O(1) no-ops and
-  // keep the feature_cache/warmed_*_records counters exact — each record
-  // population is counted once, not once per caller.
-  mutable bool tokens_warmed_ = false;
-  mutable bool qgrams_warmed_ = false;
 };
 
 }  // namespace rlbench::data

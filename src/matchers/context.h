@@ -1,15 +1,13 @@
-// Shared per-task state for matchers: feature caches over both tables, a
-// corpus TF-IDF model, and the lazily built Magellan feature datasets that
-// several matchers reuse. Building this once per task and passing it to
-// every matcher is what keeps a full Table IV run affordable.
+// Shared per-task state for matchers: the columnar feature store over both
+// tables, a corpus TF-IDF model, and the lazily built Magellan feature
+// datasets that several matchers reuse. Building this once per task and
+// passing it to every matcher is what keeps a full Table IV run affordable.
 #ifndef RLBENCH_SRC_MATCHERS_CONTEXT_H_
 #define RLBENCH_SRC_MATCHERS_CONTEXT_H_
 
-#include <memory>
 #include <optional>
 
 #include "data/columnar.h"
-#include "data/feature_cache.h"
 #include "data/task.h"
 #include "ml/dataset.h"
 #include "text/tfidf.h"
@@ -17,19 +15,23 @@
 namespace rlbench::matchers {
 
 /// \brief Read-only context shared by all matchers evaluating one task.
+///
+/// Threading: the accessors are safe from any number of threads, except
+/// that the lazy builds (columnar().EnsureQGrams(), the Magellan datasets)
+/// run outside parallel regions, before any concurrent read of what they
+/// build. For serving, TrainedModel::PrepareContext builds what a model
+/// reads.
 class MatchingContext {
  public:
   explicit MatchingContext(const data::MatchingTask* task);
 
   const data::MatchingTask& task() const { return *task_; }
-  const data::RecordFeatureCache& left() const { return left_; }
-  const data::RecordFeatureCache& right() const { return right_; }
   const text::TfIdfModel& tfidf() const { return tfidf_; }
 
-  /// Columnar view over both tables (token columns built with the context;
-  /// q-gram pools on demand via columnar().EnsureQGrams()). Batch feature
-  /// extraction reads this; the row caches above stay the cold-path API.
-  const data::ColumnarStore& columnar() const { return *columnar_; }
+  /// Columnar store over both tables: token columns built with the
+  /// context, q-gram pools on demand via columnar().EnsureQGrams(). Every
+  /// feature extractor reads it.
+  const data::ColumnarStore& columnar() const { return columnar_; }
 
   /// Magellan feature datasets for train / valid / test, built on first use
   /// and cached (shared by the four Magellan variants and ZeroER).
@@ -41,9 +43,7 @@ class MatchingContext {
   void EnsureMagellan() const;
 
   const data::MatchingTask* task_;
-  data::RecordFeatureCache left_;
-  data::RecordFeatureCache right_;
-  std::optional<data::ColumnarStore> columnar_;
+  data::ColumnarStore columnar_;
   text::TfIdfModel tfidf_;
   mutable std::optional<ml::Dataset> magellan_train_;
   mutable std::optional<ml::Dataset> magellan_valid_;

@@ -29,6 +29,10 @@ namespace {
 // Per-column alignment feature slots for the transformer family (the
 // widest catalog schema has 8 attributes).
 constexpr size_t kMaxColumnFeatures = 8;
+
+size_t Side(bool left_side) {
+  return left_side ? data::ColumnarStore::kLeft : data::ColumnarStore::kRight;
+}
 }  // namespace
 
 DlMatcher::DlMatcher(DlMethod method, int epochs, DlOptions options)
@@ -44,24 +48,25 @@ std::string DlMatcher::name() const {
 
 std::vector<std::string> DlMatcher::SequenceTokens(
     const MatchingContext& context, bool left_side, uint32_t record) const {
-  const auto& cache = left_side ? context.left() : context.right();
-  const auto& tokens = cache.Tokens(record);
+  auto seq = context.columnar().TokenSeqAll(Side(left_side), record);
   if (method_ == DlMethod::kDitto) {
     // DITTO summarises long inputs by TF-IDF weight instead of truncating.
-    return context.tfidf().Summarize(tokens, options_.max_sequence_tokens);
+    return context.tfidf().Summarize(
+        std::vector<std::string>(seq.begin(), seq.end()),
+        options_.max_sequence_tokens);
   }
-  if (tokens.size() <= options_.max_sequence_tokens) return tokens;
-  return std::vector<std::string>(
-      tokens.begin(), tokens.begin() + options_.max_sequence_tokens);
+  seq = seq.first(std::min(seq.size(), options_.max_sequence_tokens));
+  return std::vector<std::string>(seq.begin(), seq.end());
 }
 
 DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
                                          bool left_side, uint32_t record,
                                          Rng* dropout) const {
   RecordRep rep;
-  const auto& cache = left_side ? context.left() : context.right();
-  size_t num_attrs = context.task().left().schema().num_attributes();
-  auto keep = [&](const std::string&) {
+  const data::ColumnarStore& store = context.columnar();
+  size_t side = Side(left_side);
+  size_t num_attrs = store.num_attrs();
+  auto keep = [&] {
     return dropout == nullptr ||
            !dropout->Bernoulli(options_.ditto_token_dropout);
   };
@@ -78,10 +83,10 @@ DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
     case DlMethod::kDeepMatcher: {
       rep.attr_vecs.resize(num_attrs);
       for (size_t a = 0; a < num_attrs; ++a) {
-        const auto& tokens = cache.TokensAttr(record, a);
+        auto tokens = store.TokenSeqAttr(side, record, a);
         embed::Vec v(options_.attr_dim, 0.0F);
-        for (const auto& token : tokens) {
-          embed::AddInPlace(&v, token_vec(token));
+        for (std::string_view token : tokens) {
+          embed::AddInPlace(&v, token_vec(std::string(token)));
         }
         if (!tokens.empty()) {
           embed::ScaleInPlace(&v, 1.0F / static_cast<float>(tokens.size()));
@@ -101,7 +106,7 @@ DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
         std::vector<std::string> kept;
         kept.reserve(tokens.size());
         for (auto& token : tokens) {
-          if (keep(token)) kept.push_back(std::move(token));
+          if (keep()) kept.push_back(std::move(token));
         }
         tokens = std::move(kept);
       }
@@ -117,9 +122,10 @@ DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
       for (size_t a = 0; a < num_attrs &&
                          rep.token_vecs.size() < options_.max_alignment_tokens;
            ++a) {
-        for (const auto& token : cache.TokensAttr(record, a)) {
+        for (std::string_view view : store.TokenSeqAttr(side, record, a)) {
           if (rep.token_vecs.size() >= options_.max_alignment_tokens) break;
-          if (!keep(token)) continue;
+          if (!keep()) continue;
+          std::string token(view);
           rep.token_vecs.push_back(token_vec(token));
           rep.token_idf.push_back(context.tfidf().Idf(token));
           rep.token_attr.push_back(a);
@@ -131,8 +137,9 @@ DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
       for (size_t a = 0; a < num_attrs &&
                          rep.token_vecs.size() < options_.max_alignment_tokens;
            ++a) {
-        for (const auto& token : cache.TokensAttr(record, a)) {
+        for (std::string_view view : store.TokenSeqAttr(side, record, a)) {
           if (rep.token_vecs.size() >= options_.max_alignment_tokens) break;
+          std::string token(view);
           rep.token_vecs.push_back(token_vec(token));
           rep.token_idf.push_back(context.tfidf().Idf(token));
           rep.token_attr.push_back(a);

@@ -7,30 +7,28 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "text/kernels.h"
-#include "text/similarity.h"
 
 namespace rlbench::matchers {
 
 namespace {
 
-constexpr int kMinQ = data::RecordFeatureCache::kMinQ;
-constexpr int kMaxQ = data::RecordFeatureCache::kMaxQ;
-constexpr int kNumQ = kMaxQ - kMinQ + 1;
+constexpr int kMinQ = data::ColumnarStore::kMinQ;
+constexpr int kMaxQ = data::ColumnarStore::kMaxQ;
 
 // Chunk of candidate pairs per dispatch in the batch-extraction loops.
 constexpr size_t kPairGrain = 256;
 
-// Scalar-reference fallback: used only when the columnar q-gram pools are
-// not built (single-pair serve scoring on a cold context). The batch paths
-// go through the SetSims overload below, which computes the same triple
-// bit-exactly from ONE merge scan instead of three.
-void PushSetSims(const text::TokenSet& a, const text::TokenSet& b,
-                 std::vector<double>* out) {
-  out->push_back(text::CosineSimilarity(a, b));
-  out->push_back(text::DiceSimilarity(a, b));
-  out->push_back(text::JaccardSimilarity(a, b));
+bool IsQGramVariant(EsdeVariant variant) {
+  return variant == EsdeVariant::kSchemaAgnosticQgram ||
+         variant == EsdeVariant::kSchemaBasedQgram;
 }
 
+bool IsSentenceVariant(EsdeVariant variant) {
+  return variant == EsdeVariant::kSchemaAgnosticSent ||
+         variant == EsdeVariant::kSchemaBasedSent;
+}
+
+// The (Cosine, Dice, Jaccard) triple, computed from ONE merge scan.
 void PushSetSims(text::kernels::SetSims sims, std::vector<double>* out) {
   out->push_back(sims.cosine);
   out->push_back(sims.dice);
@@ -61,10 +59,8 @@ std::vector<double> EsdeFeaturesWith(const MatchingContext& context,
   namespace k = text::kernels;
   constexpr size_t kL = data::ColumnarStore::kLeft;
   constexpr size_t kR = data::ColumnarStore::kRight;
-  const auto& left = context.left();
-  const auto& right = context.right();
   const data::ColumnarStore& store = context.columnar();
-  size_t num_attrs = context.task().left().schema().num_attributes();
+  size_t num_attrs = store.num_attrs();
   std::vector<double> features;
   switch (variant) {
     case EsdeVariant::kSchemaAgnostic:
@@ -82,28 +78,18 @@ std::vector<double> EsdeFeaturesWith(const MatchingContext& context,
       break;
     case EsdeVariant::kSchemaAgnosticQgram:
       for (int q = kMinQ; q <= kMaxQ; ++q) {
-        if (store.qgrams_built()) {
-          PushSetSims(k::SetFamilySortedU64(store.QGramAll(kL, pair.left, q),
-                                            store.QGramAll(kR, pair.right, q)),
-                      &features);
-        } else {
-          PushSetSims(left.QGramSetAll(pair.left, q),
-                      right.QGramSetAll(pair.right, q), &features);
-        }
+        PushSetSims(k::SetFamilySortedU64(store.QGramAll(kL, pair.left, q),
+                                          store.QGramAll(kR, pair.right, q)),
+                    &features);
       }
       break;
     case EsdeVariant::kSchemaBasedQgram:
       for (size_t a = 0; a < num_attrs; ++a) {
         for (int q = kMinQ; q <= kMaxQ; ++q) {
-          if (store.qgrams_built()) {
-            PushSetSims(
-                k::SetFamilySortedU64(store.QGramAttr(kL, pair.left, a, q),
-                                      store.QGramAttr(kR, pair.right, a, q)),
-                &features);
-          } else {
-            PushSetSims(left.QGramSetAttr(pair.left, a, q),
-                        right.QGramSetAttr(pair.right, a, q), &features);
-          }
+          PushSetSims(
+              k::SetFamilySortedU64(store.QGramAttr(kL, pair.left, a, q),
+                                    store.QGramAttr(kR, pair.right, a, q)),
+              &features);
         }
       }
       break;
@@ -167,28 +153,9 @@ class TrainedEsdeModel final : public TrainedModel {
   }
 
   void PrepareContext(const MatchingContext& context) const override {
-    if (context.left().frozen() && context.right().frozen()) return;
-    switch (variant_) {
-      case EsdeVariant::kSchemaAgnostic:
-      case EsdeVariant::kSchemaBased:
-        context.left().WarmTokens();
-        context.right().WarmTokens();
-        break;
-      case EsdeVariant::kSchemaAgnosticQgram:
-      case EsdeVariant::kSchemaBasedQgram:
-        context.left().WarmQGrams();
-        context.right().WarmQGrams();
-        // Batch scoring reads the contiguous pools; single-pair scoring on
-        // a store without pools falls back to the row caches warmed above.
-        context.columnar().EnsureQGrams();
-        break;
-      case EsdeVariant::kSchemaAgnosticSent:
-      case EsdeVariant::kSchemaBasedSent:
-        // Sentence features read raw record text, not the caches.
-        break;
-    }
-    context.left().Freeze();
-    context.right().Freeze();
+    // The token columns come with the context and the sentence variants
+    // re-encode raw text; only the q-gram pools are built on demand.
+    if (IsQGramVariant(variant_)) context.columnar().EnsureQGrams();
   }
 
   void SerializePayload(BlobWriter* writer) const override {
@@ -278,8 +245,8 @@ EsdeMatcher::RecordSpans(bool left_side, uint32_t record, int attr) const {
   size_t side = left_side ? 0 : 1;
   const data::PackedMatrix& pack =
       vec_pack_[side * vec_slots_per_side_ + static_cast<size_t>(attr + 1)];
-  // WarmCaches fills the pack for every record this variant reads; an
-  // empty matrix here means the two-phase contract was violated.
+  // WarmSentenceVectors fills the pack for every record this variant
+  // reads; an empty matrix here means it did not run first.
   RLBENCH_DCHECK(!pack.empty());
   return {pack.row(record), pack.sorted_row(record)};
 }
@@ -299,31 +266,6 @@ double EsdeMatcher::SingleFeature(const MatchingContext& context,
   return Features(context, pair)[feature];
 }
 
-void EsdeMatcher::WarmCaches(const MatchingContext& context) {
-  RLBENCH_TRACE_SPAN("esde/warm");
-  switch (variant_) {
-    case EsdeVariant::kSchemaAgnostic:
-    case EsdeVariant::kSchemaBased:
-      // Token slots were warmed by the MatchingContext constructor; the
-      // idempotent re-warm only scans for (absent) gaps.
-      context.left().WarmTokens();
-      context.right().WarmTokens();
-      break;
-    case EsdeVariant::kSchemaAgnosticQgram:
-    case EsdeVariant::kSchemaBasedQgram:
-      context.left().WarmQGrams();
-      context.right().WarmQGrams();
-      // Contiguous sorted q-gram pools for the merge-scan kernels.
-      context.columnar().EnsureQGrams();
-      break;
-    case EsdeVariant::kSchemaAgnosticSent:
-    case EsdeVariant::kSchemaBasedSent:
-      // Pre-encode every record vector the variant reads into the packed
-      // matrices; afterwards the batch loops only read immutable rows.
-      WarmSentenceVectors(context);
-      break;
-  }
-}
 
 Result<std::unique_ptr<TrainedModel>> EsdeMatcher::TrainModel(
     const MatchingContext& context) {
@@ -331,13 +273,12 @@ Result<std::unique_ptr<TrainedModel>> EsdeMatcher::TrainModel(
   size_t num_attrs = task.left().schema().num_attributes();
   size_t dim = EsdeFeatureCount(variant_, num_attrs);
 
-  // Two-phase cache contract: bulk-fill everything this variant reads,
-  // then freeze both record caches so the batch loops below may extract
-  // features concurrently (rows are index-addressed — identical results
-  // at any thread count).
-  WarmCaches(context);
-  context.left().Freeze();
-  context.right().Freeze();
+  // Build everything this variant reads before the batch loops below
+  // extract features concurrently (rows are index-addressed — identical
+  // results at any thread count): the q-gram pools, or every record vector
+  // of the sentence variants.
+  if (IsQGramVariant(variant_)) context.columnar().EnsureQGrams();
+  if (IsSentenceVariant(variant_)) WarmSentenceVectors(context);
 
   // --- Training phase: best threshold per feature on the training set.
   const auto& train = task.train();
@@ -394,9 +335,6 @@ Result<std::unique_ptr<TrainedModel>> EsdeMatcher::TrainModel(
     }
   }
   best_threshold_ = thresholds[best_feature_];
-
-  context.left().Thaw();
-  context.right().Thaw();
   return std::unique_ptr<TrainedModel>(std::make_unique<TrainedEsdeModel>(
       variant_, options_, num_attrs, best_feature_, best_threshold_,
       best_valid_f1_));
@@ -412,8 +350,6 @@ std::vector<uint8_t> EsdeMatcher::Run(const MatchingContext& context) {
   // record-vector cache, so it scores through SingleFeature rather than the
   // snapshot model's re-encoding path; both produce identical bits (the
   // serve tests assert it).
-  context.left().Freeze();
-  context.right().Freeze();
   const auto& test = context.task().test();
   RLBENCH_COUNTER_ADD("matchers/esde/pairs_featurized", test.size());
   std::vector<uint8_t> predictions(test.size());
@@ -421,9 +357,6 @@ std::vector<uint8_t> EsdeMatcher::Run(const MatchingContext& context) {
     double score = SingleFeature(context, test[i], best_feature_);
     predictions[i] = best_threshold_ <= score ? 1 : 0;
   });
-
-  context.left().Thaw();
-  context.right().Thaw();
   return predictions;
 }
 

@@ -55,15 +55,10 @@ class EsdeMatcher : public Matcher {
                        const data::LabeledPair& pair, int feature);
 
   /// Embedding of one record under the packed cache: (row, sorted row)
-  /// views for the vectorized similarity kernels. WarmCaches must have
-  /// filled the pack for this variant first.
+  /// views for the vectorized similarity kernels. WarmSentenceVectors must
+  /// have filled the pack for this variant first.
   std::pair<std::span<const float>, std::span<const float>> RecordSpans(
       bool left_side, uint32_t record, int attr) const;
-
-  /// Warm-up half of the two-phase cache contract: bulk-fill every slot
-  /// this variant reads (token sets, q-gram sets, or record vectors) so
-  /// the batch loops in Run() can read the frozen caches concurrently.
-  void WarmCaches(const MatchingContext& context);
 
   /// Encode every record vector of the SAS/SBS variants into vec_pack_.
   void WarmSentenceVectors(const MatchingContext& context);

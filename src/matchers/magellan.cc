@@ -63,11 +63,12 @@ std::unique_ptr<ml::Classifier> BuildClassifier(MagellanClassifier classifier,
 
 /// \brief Snapshot form of a fitted Magellan classifier.
 ///
-/// Scoring recomputes MagellanFeatures for the requested pairs through the
-/// same ml::Dataset::BuildParallel fill that MatchingContext uses for its
-/// cached feature datasets, so a served row carries the identical bits the
-/// classifier saw during Run(). Decisions come from the classifier's own
-/// Predict (the SVM thresholds its raw margin, not the sigmoid score).
+/// Scoring recomputes MagellanFeaturesColumnar for the requested pairs
+/// through the same ml::Dataset::BuildParallel fill that MatchingContext
+/// uses for its cached feature datasets, so a served row carries the
+/// identical bits the classifier saw during Run(). Decisions come from the
+/// classifier's own Predict (the SVM thresholds its raw margin, not the
+/// sigmoid score).
 class TrainedMagellanModel final : public TrainedModel {
  public:
   TrainedMagellanModel(MagellanClassifier classifier, uint64_t seed,
@@ -89,7 +90,8 @@ class TrainedMagellanModel final : public TrainedModel {
 
   double ScorePair(const MatchingContext& context,
                    const data::LabeledPair& pair) const override {
-    auto features = MagellanFeatures(context.left(), context.right(), pair);
+    std::vector<float> features(num_attrs_ * kMagellanFeaturesPerAttr);
+    MagellanFeaturesColumnar(context.columnar(), pair, features);
     return model_->PredictScore(features);
   }
 

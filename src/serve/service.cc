@@ -61,32 +61,6 @@ Status MatchService::InstallSnapshot(const Snapshot& snapshot) {
   return SwapModel(snapshot.model);
 }
 
-void MatchService::RewarmAll(const matchers::TrainedModel* extra) {
-  // Different model families read different context caches (token sets,
-  // q-grams, nothing). Thaw re-enters the warm phase without discarding
-  // already-cached values, and Warm*() is idempotent — so re-preparing
-  // every installed model warms the *union* of their families while every
-  // previously cached value keeps its bits. No batch is in flight here:
-  // the service is single-threaded and ScoreBatch's parallel region always
-  // completes before PumpOne returns.
-  context_->left().Thaw();
-  context_->right().Thaw();
-  auto prepare = [this](const matchers::TrainedModel* model) {
-    if (model == nullptr) return;
-    // PrepareContext freezes; thaw again so the next family can warm.
-    model->PrepareContext(*context_);
-    context_->left().Thaw();
-    context_->right().Thaw();
-  };
-  std::shared_ptr<const matchers::TrainedModel> primary = model_.Acquire();
-  prepare(primary.get());
-  prepare(fallback_.get());
-  if (shadow_ != nullptr) prepare(shadow_->candidate().get());
-  prepare(extra);
-  context_->left().Freeze();
-  context_->right().Freeze();
-}
-
 Status MatchService::SwapModel(
     std::shared_ptr<const matchers::TrainedModel> model) {
   if (model == nullptr) {
@@ -99,7 +73,7 @@ Status MatchService::SwapModel(
         " attributes, dataset has " + std::to_string(attrs));
   }
   RLBENCH_TRACE_SPAN("serve/swap");
-  RewarmAll(model.get());
+  model->PrepareContext(*context_);
   model_.Swap(std::move(model));
   RLBENCH_COUNTER_INC("serve/swaps");
   return Status::OK();
@@ -116,8 +90,8 @@ Status MatchService::SetFallbackModel(
         "serve: fallback expects " + std::to_string(model->num_attrs()) +
         " attributes, dataset has " + std::to_string(attrs));
   }
+  model->PrepareContext(*context_);
   fallback_ = std::move(model);
-  RewarmAll(nullptr);
   return Status::OK();
 }
 
@@ -455,13 +429,9 @@ Result<std::shared_ptr<const matchers::TrainedModel>>
 MatchService::RetrainMatcher(const std::string& name, uint64_t seed) {
   RLBENCH_TRACE_SPAN("serve/retrain");
   RLBENCH_COUNTER_INC("serve/retrains");
-  // Training needs the warm phase; serving keeps the caches frozen. Thaw
-  // (cached values survive), train, then restore the frozen serving state
-  // with every installed family re-warmed — scores stay bit-identical.
-  context_->left().Thaw();
-  context_->right().Thaw();
+  // Training only adds to the context (on-demand q-gram pools), so the
+  // installed models' scores are unchanged.
   auto model = matchers::TrainServableMatcher(name, *context_, seed);
-  RewarmAll(model.ok() ? model->get() : nullptr);
   if (!model.ok()) {
     RLBENCH_COUNTER_INC("serve/retrain_failures");
     return model.status();
@@ -498,9 +468,9 @@ Status MatchService::StartShadow(
         std::to_string(candidate->num_attrs()) + " attributes, dataset has " +
         std::to_string(attrs));
   }
+  candidate->PrepareContext(*context_);
   shadow_ = std::make_unique<ShadowEvaluator>(std::move(candidate),
                                               std::move(metadata), options);
-  RewarmAll(nullptr);
   RLBENCH_COUNTER_INC("serve/shadow/started");
   return Status::OK();
 }

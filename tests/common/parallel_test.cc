@@ -1,6 +1,8 @@
 #include "common/parallel.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <set>
@@ -198,6 +200,33 @@ TEST(ParallelConfigTest, SetParallelThreadsOverridesAndRestores) {
   for (int count : counts) EXPECT_EQ(count, 1);
   SetParallelThreads(0);
   EXPECT_GE(ParallelThreadCount(), 1U);
+}
+
+TEST(ParallelForkTest, ChildOfAPoolUserGetsAWorkingPool) {
+  // The parent's workers do not survive fork(); the child must resize and
+  // use a pool without touching the inherited one (which used to die with
+  // SIGSEGV in SetParallelThreads, or hang on the inherited mutexes).
+  SetParallelThreads(4);
+  std::vector<int> counts(64, 0);
+  ParallelFor(0, counts.size(), 1, [&](size_t i) { ++counts[i]; });
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(60);  // a hang fails the test instead of stalling the suite
+    SetParallelThreads(2);
+    std::vector<int> child(64, 0);
+    ParallelFor(0, child.size(), 1, [&](size_t i) { ++child[i]; });
+    for (int count : child) {
+      if (count != 1) _exit(1);
+    }
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status)) << "child status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  for (int count : counts) EXPECT_EQ(count, 1);
+  SetParallelThreads(0);
 }
 
 }  // namespace

@@ -42,8 +42,8 @@ Snapshot Measure(const data::MatchingTask& task, size_t threads) {
   SetParallelThreads(threads);
   Snapshot snap;
 
-  // Fresh context per thread count so cache warm-up itself runs at the
-  // thread count under test, not just the downstream consumers.
+  // Fresh context per thread count so the columnar store's build itself
+  // runs at the thread count under test, not just the downstream consumers.
   matchers::MatchingContext context(&task);
 
   ComplexityOptions options;
@@ -67,7 +67,7 @@ Snapshot Measure(const data::MatchingTask& task, size_t threads) {
   snap.esde_threshold = token_esde.best_threshold();
   snap.esde_valid_f1 = token_esde.best_valid_f1();
 
-  // The q-gram variant exercises the WarmQGrams bulk fill.
+  // The q-gram variant exercises the parallel q-gram pool build.
   matchers::EsdeMatcher qgram_esde(
       matchers::EsdeVariant::kSchemaAgnosticQgram);
   snap.esde_qgram_predictions = qgram_esde.Run(context);

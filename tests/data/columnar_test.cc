@@ -1,9 +1,10 @@
-// ColumnarStore invariants (ISSUE 7): the columnar view must be a lossless
-// re-layout of the row-oriented caches (same token multisets, same q-gram
-// hash sets, same per-value derivations), its interning must not depend on
-// record insertion order, and its build must be byte-identical at 1/2/7
-// threads — the same contract tests/core/thread_invariance_test.cc pins for
-// the measure pipeline.
+// ColumnarStore invariants: every column the store builds from the two
+// Tables must equal what the text:: scalar functions (Tokenize, TokenSet,
+// QGramSet with the kQGramCharCap cap) give on the raw values, its
+// interning must not depend on record insertion order, its build must be
+// byte-identical at 1/2/7 threads and under the serial-degrade failpoint —
+// the same contract tests/core/thread_invariance_test.cc pins for the
+// measure pipeline — and concurrent reads must be race-free.
 #include "data/columnar.h"
 
 #include <gtest/gtest.h>
@@ -15,9 +16,10 @@
 
 #include "common/parallel.h"
 #include "common/strings.h"
-#include "data/feature_cache.h"
 #include "data/record.h"
-#include "obs/metrics.h"
+#include "datagen/catalog.h"
+#include "datagen/task_builder.h"
+#include "fault/failpoint.h"
 #include "text/qgrams.h"
 #include "text/tokenizer.h"
 
@@ -31,6 +33,10 @@ Table MakeLeft() {
   table.Add(Record{"l2", {"", "", ""}});  // fully empty record
   table.Add(Record{"l3", {"usb type c cable", "generic", "9 dollars"}});
   table.Add(Record{"l4", {"Café München 漢字", "ÜBER", "-3e2"}});
+  // Longer than kQGramCharCap, alone and concatenated.
+  std::string long_title;
+  while (long_title.size() < 200) long_title += "Wireless Charger Pad ";
+  table.Add(Record{"l5", {long_title, "Anker", "29.99"}});
   return table;
 }
 
@@ -42,85 +48,104 @@ Table MakeRight() {
   return table;
 }
 
-TEST(ColumnarStoreTest, TokenColumnsRoundTripTheRowCaches) {
-  Table left = MakeLeft();
-  Table right = MakeRight();
-  RecordFeatureCache lcache(&left);
-  RecordFeatureCache rcache(&right);
-  ColumnarStore store(lcache, rcache);
+template <typename T>
+std::vector<T> ToVector(std::span<const T> span) {
+  return std::vector<T>(span.begin(), span.end());
+}
 
-  ASSERT_EQ(store.num_attrs(), 3u);
-  ASSERT_EQ(store.num_records(ColumnarStore::kLeft), left.size());
-  ASSERT_EQ(store.num_records(ColumnarStore::kRight), right.size());
+std::vector<std::string> ToStrings(std::span<const std::string_view> seq) {
+  return std::vector<std::string>(seq.begin(), seq.end());
+}
 
-  const RecordFeatureCache* caches[] = {&lcache, &rcache};
-  for (size_t side : {ColumnarStore::kLeft, ColumnarStore::kRight}) {
-    const RecordFeatureCache& cache = *caches[side];
-    for (size_t r = 0; r < store.num_records(side); ++r) {
-      // Sorted unique ids map 1:1 onto the sorted unique hash set: same
-      // cardinality, and every id resolves back to a vocab hash that the
-      // row-oriented set contains (rank interning is a monotone bijection).
-      auto ids = store.TokenIdsAll(side, r);
-      const auto& hashes = cache.TokenSetAll(r).hashes();
-      ASSERT_EQ(ids.size(), hashes.size());
-      EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-      for (size_t k = 0; k < hashes.size(); ++k) {
-        EXPECT_EQ(store.IdOfHash(hashes[k]), ids[k]);
-      }
-      for (size_t a = 0; a < store.num_attrs(); ++a) {
-        auto attr_ids = store.TokenIdsAttr(side, r, a);
-        ASSERT_EQ(attr_ids.size(), cache.TokenSetAttr(r, a).size());
-        // Ordered token sequence round-trips exactly.
-        auto seq = store.TokenSeqAttr(side, r, a);
-        const auto& tokens = cache.TokensAttr(r, a);
-        ASSERT_EQ(seq.size(), tokens.size());
-        for (size_t t = 0; t < tokens.size(); ++t) {
-          EXPECT_EQ(seq[t], tokens[t]);
-        }
-        // Per-value hoisted derivations match recomputation from the row.
-        const std::string& raw = cache.table().record(r).values[a];
-        EXPECT_EQ(store.Value(side, r, a), raw);
-        EXPECT_EQ(store.LoweredValue(side, r, a), ToLowerAscii(raw));
-      }
-    }
+// Token ids must be the ranks of exactly the scalar token set's hashes.
+void ExpectIdsOf(const ColumnarStore& store, const text::TokenSet& set,
+                 std::span<const uint32_t> ids) {
+  ASSERT_EQ(ids.size(), set.size());
+  for (size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(ids[k], store.IdOfHash(set.hashes()[k]));
   }
 }
 
-TEST(ColumnarStoreTest, QGramColumnsRoundTripTheRowCaches) {
-  Table left = MakeLeft();
-  Table right = MakeRight();
-  RecordFeatureCache lcache(&left);
-  RecordFeatureCache rcache(&right);
-  ColumnarStore store(lcache, rcache);
-  EXPECT_FALSE(store.qgrams_built());
+// The independent oracle: every column of `store` against the text::
+// scalar functions applied to the raw values of (left, right). Builds the
+// q-gram pools first.
+void ExpectMatchesScalarOracle(const ColumnarStore& store, const Table& left,
+                               const Table& right) {
   store.EnsureQGrams();
-  EXPECT_TRUE(store.qgrams_built());
-  store.EnsureQGrams();  // idempotent
-
-  const RecordFeatureCache* caches[] = {&lcache, &rcache};
+  const Table* tables[] = {&left, &right};
+  std::vector<uint64_t> vocab;
   for (size_t side : {ColumnarStore::kLeft, ColumnarStore::kRight}) {
-    const RecordFeatureCache& cache = *caches[side];
-    for (size_t r = 0; r < store.num_records(side); ++r) {
+    const Table& table = *tables[side];
+    ASSERT_EQ(store.num_records(side), table.size());
+    for (size_t r = 0; r < table.size(); ++r) {
+      SCOPED_TRACE("side " + std::to_string(side) + " record " +
+                   std::to_string(r));
+      const Record& row = table.record(r);
+      std::vector<std::string> all = text::TokenizeAll(row.values);
+      EXPECT_EQ(ToStrings(store.TokenSeqAll(side, r)), all);
+      text::TokenSet all_set(all);
+      ExpectIdsOf(store, all_set, store.TokenIdsAll(side, r));
+      vocab.insert(vocab.end(), all_set.hashes().begin(),
+                   all_set.hashes().end());
+      for (size_t a = 0; a < store.num_attrs(); ++a) {
+        const std::string& value = row.values[a];
+        std::vector<std::string> tokens = text::Tokenize(value);
+        EXPECT_EQ(ToStrings(store.TokenSeqAttr(side, r, a)), tokens);
+        ExpectIdsOf(store, text::TokenSet(tokens),
+                    store.TokenIdsAttr(side, r, a));
+        EXPECT_EQ(store.Value(side, r, a), value);
+        EXPECT_EQ(store.LoweredValue(side, r, a), ToLowerAscii(value));
+      }
+      std::string text = row.ConcatenatedValues();
+      text.resize(std::min(text.size(), ColumnarStore::kQGramCharCap));
       for (int q = ColumnarStore::kMinQ; q <= ColumnarStore::kMaxQ; ++q) {
-        auto all = store.QGramAll(side, r, q);
-        const auto& expected = cache.QGramSetAll(r, q).hashes();
-        ASSERT_EQ(std::vector<uint64_t>(all.begin(), all.end()), expected);
+        EXPECT_EQ(ToVector(store.QGramAll(side, r, q)),
+                  text::QGramSet(text, q).hashes())
+            << "q " << q;
         for (size_t a = 0; a < store.num_attrs(); ++a) {
-          auto got = store.QGramAttr(side, r, a, q);
-          const auto& want = cache.QGramSetAttr(r, a, q).hashes();
-          ASSERT_EQ(std::vector<uint64_t>(got.begin(), got.end()), want);
+          std::string_view value = row.values[a];
+          value = value.substr(0, ColumnarStore::kQGramCharCap);
+          EXPECT_EQ(ToVector(store.QGramAttr(side, r, a, q)),
+                    text::QGramSet(value, q).hashes())
+              << "attr " << a << " q " << q;
         }
       }
     }
   }
+  // The vocabulary is exactly the union of every record's token hashes, so
+  // IdOfHash above is the rank among them.
+  std::sort(vocab.begin(), vocab.end());
+  vocab.erase(std::unique(vocab.begin(), vocab.end()), vocab.end());
+  EXPECT_EQ(store.vocab_size(), vocab.size());
+}
+
+TEST(ColumnarStoreTest, HandBuiltTablesMatchScalarOracle) {
+  Table left = MakeLeft();
+  Table right = MakeRight();
+  ColumnarStore store(left, right);
+  ASSERT_EQ(store.num_attrs(), 3u);
+  ExpectMatchesScalarOracle(store, left, right);
+  // EnsureQGrams is idempotent: a second call leaves every column intact.
+  ExpectMatchesScalarOracle(store, left, right);
+}
+
+TEST(ColumnarStoreTest, CatalogTaskMatchesScalarOracleAtAnyThreadCount) {
+  // Abt-Buy carries long product descriptions, so the q-gram cap bites.
+  auto task = datagen::BuildExistingBenchmark(
+      *datagen::FindExistingBenchmark("Dt1"), 0.02);
+  for (int threads : {1, 2, 7}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetParallelThreads(threads);
+    ColumnarStore store(task.left(), task.right());
+    ExpectMatchesScalarOracle(store, task.left(), task.right());
+  }
+  SetParallelThreads(0);
 }
 
 TEST(ColumnarStoreTest, NumericColumnsMatchHoistedParse) {
   Table left = MakeLeft();
   Table right = MakeRight();
-  RecordFeatureCache lcache(&left);
-  RecordFeatureCache rcache(&right);
-  ColumnarStore store(lcache, rcache);
+  ColumnarStore store(left, right);
   // "999" parses; " 999 " parses after the whitespace strip; "9 dollars",
   // "not a number" and "" do not.
   EXPECT_TRUE(store.NumericOk(ColumnarStore::kLeft, 0, 2));
@@ -137,18 +162,14 @@ TEST(ColumnarStoreTest, NumericColumnsMatchHoistedParse) {
 TEST(ColumnarStoreTest, InterningIsStableUnderInsertionOrder) {
   Table left = MakeLeft();
   Table right = MakeRight();
-  RecordFeatureCache lcache(&left);
-  RecordFeatureCache rcache(&right);
-  ColumnarStore forward(lcache, rcache);
+  ColumnarStore forward(left, right);
 
   // Same records, reversed insertion order on both sides.
   Table left_rev("left", Schema({"title", "brand", "price"}));
   for (size_t i = left.size(); i-- > 0;) left_rev.Add(left.record(i));
   Table right_rev("right", Schema({"title", "brand", "price"}));
   for (size_t i = right.size(); i-- > 0;) right_rev.Add(right.record(i));
-  RecordFeatureCache lrev(&left_rev);
-  RecordFeatureCache rrev(&right_rev);
-  ColumnarStore reversed(lrev, rrev);
+  ColumnarStore reversed(left_rev, right_rev);
 
   ASSERT_EQ(forward.vocab_size(), reversed.vocab_size());
   // Every record's id array is identical wherever the record landed: ids
@@ -174,12 +195,15 @@ TEST(ColumnarStoreTest, BuildIsByteIdenticalAcrossThreadCounts) {
                       "batch " + tag}});
   }
 
-  auto fingerprint = [&](int threads) {
+  auto fingerprint = [&](int threads, bool serial_fault) {
     SetParallelThreads(threads);
-    RecordFeatureCache lcache(&left);
-    RecordFeatureCache rcache(&right);
-    ColumnarStore store(lcache, rcache);
+    if (serial_fault) {
+      // The failpoint degrades the per-record passes to serial loops.
+      EXPECT_TRUE(fault::SetSpec("seed=1;data/columnar/build=alloc:1").ok());
+    }
+    ColumnarStore store(left, right);
     store.EnsureQGrams();
+    fault::Clear();
     // Serialize every column the kernels read into one byte-stable vector.
     std::vector<uint64_t> sink;
     for (size_t side : {ColumnarStore::kLeft, ColumnarStore::kRight}) {
@@ -207,41 +231,48 @@ TEST(ColumnarStoreTest, BuildIsByteIdenticalAcrossThreadCounts) {
     return sink;
   };
 
-  std::vector<uint64_t> at1 = fingerprint(1);
-  EXPECT_EQ(fingerprint(2), at1);
-  EXPECT_EQ(fingerprint(7), at1);
+  std::vector<uint64_t> at1 = fingerprint(1, false);
+  EXPECT_EQ(fingerprint(2, false), at1);
+  EXPECT_EQ(fingerprint(7, false), at1);
+  EXPECT_EQ(fingerprint(7, true), at1);
 }
 
-TEST(FeatureCacheCounterTest, RepeatedWarmCountsRecordsOnce) {
-  // Regression: WarmTokens/WarmQGrams used to re-add the full record count
-  // to the warmed_* counters on every call — the ColumnarStore constructor
-  // re-warms defensively, which double-counted the warm phase.
-  obs::Metrics::SetEnabled(true);
-  obs::Metrics::Instance().ResetAll();
-  Table left = MakeLeft();
-  Table right = MakeRight();
-  RecordFeatureCache lcache(&left);
-  RecordFeatureCache rcache(&right);
-  lcache.WarmTokens();
-  rcache.WarmTokens();
-  // The store's constructor re-warms both caches; EnsureQGrams re-warms the
-  // q-gram slots. None of these may bump the counters again.
-  ColumnarStore store(lcache, rcache);
-  lcache.WarmTokens();
-  uint64_t tokens = obs::Metrics::Instance()
-                        .GetCounter("feature_cache/warmed_token_records")
-                        .Value();
-  EXPECT_EQ(tokens, left.size() + right.size());
-  lcache.WarmQGrams();
-  rcache.WarmQGrams();
+TEST(ColumnarStoreTest, ConcurrentReadsAreStableAndRaceFree) {
+  auto task = datagen::BuildExistingBenchmark(
+      *datagen::FindExistingBenchmark("Ds5"), 0.5);
+  ColumnarStore store(task.left(), task.right());
   store.EnsureQGrams();
-  lcache.WarmQGrams();
-  uint64_t qgrams = obs::Metrics::Instance()
-                        .GetCounter("feature_cache/warmed_qgram_records")
-                        .Value();
-  EXPECT_EQ(qgrams, left.size() + right.size());
-  obs::Metrics::Instance().ResetAll();
-  obs::Metrics::SetEnabled(false);
+  constexpr size_t kL = ColumnarStore::kLeft;
+  constexpr size_t kR = ColumnarStore::kRight;
+  std::vector<LabeledPair> pairs = task.AllPairs();
+  // One digest per pair over every column kind the kernels read.
+  auto digest = [&](const LabeledPair& p) {
+    uint64_t h = 0;
+    for (uint32_t id : store.TokenIdsAll(kL, p.left)) h = h * 31 + id;
+    for (uint32_t id : store.TokenIdsAll(kR, p.right)) h = h * 31 + id;
+    for (std::string_view t : store.TokenSeqAll(kL, p.left)) {
+      h ^= Fnv1a64(t);
+    }
+    for (size_t a = 0; a < store.num_attrs(); ++a) {
+      h ^= Fnv1a64(store.LoweredValue(kR, p.right, a));
+      for (uint64_t g : store.QGramAttr(kL, p.left, a, 3)) h += g;
+    }
+    for (uint64_t g : store.QGramAll(kR, p.right, 2)) h += g;
+    return h;
+  };
+  std::vector<uint64_t> expected(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) expected[i] = digest(pairs[i]);
+
+  // Any number of threads may read the built store. Under TSan this is
+  // the data-race check for the read phase.
+  SetParallelThreads(7);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<uint64_t> got(pairs.size());
+    ParallelFor(0, pairs.size(), 8,
+                [&](size_t i) { got[i] = digest(pairs[i]); });
+    EXPECT_EQ(got, expected) << "round " << round;
+  }
+  SetParallelThreads(0);
 }
 
 }  // namespace

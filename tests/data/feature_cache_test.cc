@@ -5,8 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
-#include "text/similarity.h"
+#include "text/qgrams.h"
 
 namespace rlbench::data {
 namespace {
@@ -75,87 +74,6 @@ TEST(FeatureCacheTest, QGramAttrMatchesDirectComputation) {
   auto direct = text::QGramSet("Apple", 3);
   EXPECT_EQ(cache.QGramSetAttr(0, 1, 3).IntersectionSize(direct),
             direct.size());
-}
-
-Table MakeWideTable(size_t rows) {
-  Table table("wide", Schema({"name", "desc"}));
-  for (size_t i = 0; i < rows; ++i) {
-    std::string tag = std::to_string(i);
-    table.Add(Record{"r" + tag,
-                     {"product " + tag + " model x" + tag,
-                      "series " + std::to_string(i % 7) + " rev " + tag}});
-  }
-  return table;
-}
-
-TEST(FeatureCacheTest, WarmMatchesLazyFills) {
-  Table table = MakeWideTable(120);
-  RecordFeatureCache warmed(&table);
-  warmed.WarmTokens();
-  warmed.WarmQGrams();
-  RecordFeatureCache lazy(&table);
-  for (size_t i = 0; i < table.size(); ++i) {
-    EXPECT_EQ(warmed.Tokens(i), lazy.Tokens(i));
-    EXPECT_EQ(warmed.TokenSetAll(i).size(), lazy.TokenSetAll(i).size());
-    EXPECT_EQ(warmed.QGramSetAll(i, 3).size(), lazy.QGramSetAll(i, 3).size());
-  }
-}
-
-TEST(FeatureCacheTest, FreezeThawRoundTrip) {
-  Table table = MakeTable();
-  RecordFeatureCache cache(&table);
-  EXPECT_FALSE(cache.frozen());
-  cache.WarmTokens();
-  cache.Freeze();
-  EXPECT_TRUE(cache.frozen());
-  // Reads of warmed slots are legal while frozen.
-  EXPECT_EQ(cache.Tokens(0).size(), 4u);
-  cache.Thaw();
-  EXPECT_FALSE(cache.frozen());
-  // Back in the warm-up phase: lazy fills of cold slots are legal again.
-  EXPECT_GT(cache.QGramSetAll(0, 3).size(), 0u);
-}
-
-TEST(FeatureCacheTest, ConcurrentReadsOfFrozenCacheAreStableAndRaceFree) {
-  Table table = MakeWideTable(200);
-
-  // Serial reference, computed on an independent cache.
-  RecordFeatureCache reference(&table);
-  std::vector<size_t> expected_tokens(table.size());
-  std::vector<size_t> expected_qgrams(table.size());
-  for (size_t i = 0; i < table.size(); ++i) {
-    expected_tokens[i] = reference.TokenSetAll(i).size();
-    expected_qgrams[i] = reference.QGramSetAll(i, 2).size();
-  }
-
-  // Two-phase contract: single-threaded-equivalent warm-up (bulk fill),
-  // freeze, then hammer the immutable slots from many threads. Under TSan
-  // this doubles as the data-race check for the read phase.
-  RecordFeatureCache cache(&table);
-  cache.WarmTokens();
-  cache.WarmQGrams();
-  cache.Freeze();
-  SetParallelThreads(7);
-  std::vector<size_t> got_tokens(table.size());
-  std::vector<size_t> got_qgrams(table.size());
-  std::vector<const text::TokenSet*> first_address(table.size());
-  for (int round = 0; round < 4; ++round) {
-    ParallelFor(0, table.size(), 8, [&](size_t i) {
-      const auto& set = cache.TokenSetAll(i);
-      got_tokens[i] = set.size();
-      got_qgrams[i] = cache.QGramSetAll(i, 2).size();
-      if (round == 0) {
-        first_address[i] = &set;
-      } else {
-        // Frozen reads are memoised: same object every round.
-        EXPECT_EQ(first_address[i], &set);
-      }
-    });
-  }
-  SetParallelThreads(0);
-  cache.Thaw();
-  EXPECT_EQ(got_tokens, expected_tokens);
-  EXPECT_EQ(got_qgrams, expected_qgrams);
 }
 
 }  // namespace

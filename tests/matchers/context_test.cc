@@ -27,12 +27,20 @@ TEST(ContextTest, FrequentDomainTokensGetLowIdf) {
   EXPECT_LT(common, unseen);
 }
 
-TEST(ContextTest, CachesBelongToTheirTables) {
+TEST(ContextTest, ColumnarStoreViewsTheTaskTables) {
   auto task = datagen::BuildExistingBenchmark(
       *datagen::FindExistingBenchmark("Ds5"), 0.5);
   MatchingContext context(&task);
-  EXPECT_EQ(&context.left().table(), &task.left());
-  EXPECT_EQ(&context.right().table(), &task.right());
+  const data::ColumnarStore& store = context.columnar();
+  constexpr size_t kL = data::ColumnarStore::kLeft;
+  constexpr size_t kR = data::ColumnarStore::kRight;
+  ASSERT_EQ(store.num_records(kL), task.left().size());
+  ASSERT_EQ(store.num_records(kR), task.right().size());
+  // Values are views into the task's own tables, not copies.
+  EXPECT_EQ(store.Value(kL, 0, 0).data(),
+            task.left().record(0).values[0].data());
+  EXPECT_EQ(store.Value(kR, 0, 0).data(),
+            task.right().record(0).values[0].data());
 }
 
 TEST(ContextTest, MagellanDatasetsShareLabelsWithTask) {

@@ -33,7 +33,9 @@ MatchingContext* MatchersTest::easy_ = nullptr;
 
 TEST_F(MatchersTest, MagellanFeatureDimension) {
   auto pair = easy_task_->train().front();
-  auto features = MagellanFeatures(easy_->left(), easy_->right(), pair);
+  std::vector<float> features(easy_->columnar().num_attrs() *
+                              kMagellanFeaturesPerAttr);
+  MagellanFeaturesColumnar(easy_->columnar(), pair, features);
   EXPECT_EQ(features.size(),
             easy_task_->left().schema().num_attributes() *
                 kMagellanFeaturesPerAttr);

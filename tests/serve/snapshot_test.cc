@@ -72,8 +72,6 @@ matchers::MatchingContext* SnapshotTest::context_ = nullptr;
 TEST_F(SnapshotTest, EveryServableFamilyRoundTripsBitExactly) {
   for (const std::string& name : matchers::ServableMatcherNames()) {
     SCOPED_TRACE(name);
-    context_->left().Thaw();
-    context_->right().Thaw();
     auto trained = matchers::TrainServableMatcher(name, *context_);
     ASSERT_TRUE(trained.ok()) << trained.status();
 
@@ -85,8 +83,6 @@ TEST_F(SnapshotTest, EveryServableFamilyRoundTripsBitExactly) {
     EXPECT_EQ(decoded->model->kind(), (*trained)->kind());
 
     auto [scores, decisions] = ScoreAll(**trained);
-    context_->left().Thaw();
-    context_->right().Thaw();
     auto [loaded_scores, loaded_decisions] = ScoreAll(*decoded->model);
     // Bit-exact: a snapshot served anywhere must score exactly like the
     // matcher that trained it.
@@ -100,8 +96,6 @@ TEST_F(SnapshotTest, EveryServableFamilyRoundTripsBitExactly) {
 }
 
 TEST_F(SnapshotTest, CorruptionSurfacesAsLoadErrors) {
-  context_->left().Thaw();
-  context_->right().Thaw();
   auto trained = matchers::TrainServableMatcher("Magellan-DT", *context_);
   ASSERT_TRUE(trained.ok());
   std::string bytes = EncodeSnapshot(MetadataFor(**trained), **trained);
@@ -137,8 +131,6 @@ TEST_F(SnapshotTest, RepositoryVersionsAndCurrentPointer) {
             StatusCode::kNotFound);
   EXPECT_TRUE(repository.ListVersions("Magellan-DT")->empty());
 
-  context_->left().Thaw();
-  context_->right().Thaw();
   auto trained = matchers::TrainServableMatcher("Magellan-DT", *context_);
   ASSERT_TRUE(trained.ok());
   SnapshotMetadata metadata = MetadataFor(**trained);
@@ -194,11 +186,7 @@ TEST_F(SnapshotTest, RepositoryVersionsAndCurrentPointer) {
 }
 
 TEST_F(SnapshotTest, HotSwapSlotHandsBackPreviousModel) {
-  context_->left().Thaw();
-  context_->right().Thaw();
   auto first = matchers::TrainServableMatcher("Magellan-DT", *context_);
-  context_->left().Thaw();
-  context_->right().Thaw();
   auto second = matchers::TrainServableMatcher("SA-ESDE", *context_);
   ASSERT_TRUE(first.ok() && second.ok());
 

@@ -1,8 +1,8 @@
-// Hot-swap storm: repeated cross-family swaps (each one a full feature-
-// cache re-warm) while a seeded fault storm batters the serve path. The
-// storm may fail individual requests, but every request that succeeds
-// must carry the exact score bits of the model installed at the time —
-// at 1, 2 and 7 threads, with an identical fault schedule.
+// Hot-swap storm: repeated cross-family swaps (each one preparing the
+// context for the incoming model) while a seeded fault storm batters the
+// serve path. The storm may fail individual requests, but every request
+// that succeeds must carry the exact score bits of the model installed at
+// the time — at 1, 2 and 7 threads, with an identical fault schedule.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,8 +43,6 @@ class SwapStormTest : public ::testing::Test {
 
   static std::shared_ptr<const matchers::TrainedModel> Train(
       const matchers::MatchingContext& context, const std::string& name) {
-    context.left().Thaw();
-    context.right().Thaw();
     auto trained = matchers::TrainServableMatcher(name, context);
     EXPECT_TRUE(trained.ok()) << trained.status();
     return std::shared_ptr<const matchers::TrainedModel>(std::move(*trained));

@@ -21,6 +21,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "data/feature_cache.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "embed/vector_ops.h"
@@ -384,12 +385,57 @@ TEST(KernelsDifferentialTest, MlpBatchScoresBitIdenticalToPerRow) {
   }
 }
 
+std::string_view Truncated(const std::string& value, size_t max_chars) {
+  return std::string_view(value).substr(0, max_chars);
+}
+
+std::vector<std::string> CapTokens(const std::vector<std::string>& tokens,
+                                   size_t max_tokens) {
+  if (tokens.size() <= max_tokens) return tokens;
+  return std::vector<std::string>(tokens.begin(), tokens.begin() + max_tokens);
+}
+
+// The oracle for matchers::MagellanFeaturesColumnar: the same six features
+// per attribute computed row by row with the text/similarity.h scalar
+// references over the row cache's token sets and the raw values.
+std::vector<float> MagellanFeatures(const data::RecordFeatureCache& left,
+                                    const data::RecordFeatureCache& right,
+                                    const data::LabeledPair& pair) {
+  const data::Record& l = left.table().record(pair.left);
+  const data::Record& r = right.table().record(pair.right);
+  size_t num_attrs = left.table().schema().num_attributes();
+  constexpr size_t kChars = matchers::kMaxCharsForEditSims;
+
+  std::vector<float> features;
+  features.reserve(num_attrs * matchers::kMagellanFeaturesPerAttr);
+  for (size_t a = 0; a < num_attrs; ++a) {
+    const std::string& lv = l.values[a];
+    const std::string& rv = r.values[a];
+    features.push_back(static_cast<float>(text::JaccardSimilarity(
+        left.TokenSetAttr(pair.left, a), right.TokenSetAttr(pair.right, a))));
+    features.push_back(static_cast<float>(text::LevenshteinSimilarity(
+        Truncated(lv, kChars), Truncated(rv, kChars))));
+    features.push_back(static_cast<float>(text::JaroWinklerSimilarity(
+        Truncated(lv, kChars), Truncated(rv, kChars))));
+    features.push_back(static_cast<float>(text::MongeElkanSimilarity(
+        CapTokens(left.TokensAttr(pair.left, a),
+                  matchers::kMaxTokensForMongeElkan),
+        CapTokens(right.TokensAttr(pair.right, a),
+                  matchers::kMaxTokensForMongeElkan))));
+    features.push_back(static_cast<float>(text::NumericSimilarity(lv, rv)));
+    features.push_back(static_cast<float>(text::ExactMatchSimilarity(lv, rv)));
+  }
+  return features;
+}
+
 // End-to-end: the columnar Magellan extraction must be bit-identical to the
-// row-oriented reference, at every thread count, with the observability and
+// row-oriented oracle, at every thread count, with the observability and
 // fault gates on or off.
 TEST(KernelsDifferentialTest, ColumnarFeaturesInvariantAcrossThreadsAndGates) {
   auto task = datagen::BuildExistingBenchmark(
       *datagen::FindExistingBenchmark("Ds5"), 0.5);
+  data::RecordFeatureCache left_cache(&task.left());
+  data::RecordFeatureCache right_cache(&task.right());
 
   auto extract = [&]() {
     matchers::MatchingContext context(&task);
@@ -400,9 +446,7 @@ TEST(KernelsDifferentialTest, ColumnarFeaturesInvariantAcrossThreadsAndGates) {
     for (const auto& pair : task.train()) {
       std::vector<float> row(dim);
       matchers::MagellanFeaturesColumnar(context.columnar(), pair, row);
-      // Row-oriented scalar reference, same pair.
-      auto reference =
-          matchers::MagellanFeatures(context.left(), context.right(), pair);
+      auto reference = MagellanFeatures(left_cache, right_cache, pair);
       for (size_t f = 0; f < dim; ++f) {
         EXPECT_EQ(row[f], reference[f]) << "feature " << f;
       }
@@ -421,13 +465,19 @@ TEST(KernelsDifferentialTest, ColumnarFeaturesInvariantAcrossThreadsAndGates) {
       {1, false, false}, {2, true, false}, {7, false, true}, {7, true, true}};
   for (const Config& config : configs) {
     SetParallelThreads(config.threads);
+    obs::Metrics::Instance().ResetAll();
     obs::Metrics::SetEnabled(config.metrics);
     if (config.faults) {
-      // Degrades the cache warm-up to a serial fill; values must not move.
-      ASSERT_TRUE(
-          fault::SetSpec("seed=7;data/feature_cache/warm=alloc:1").ok());
+      // Degrades the columnar store's build to serial; values must not move.
+      ASSERT_TRUE(fault::SetSpec("seed=7;data/columnar/build=alloc:1").ok());
     }
     std::vector<float> got = extract();
+    if (config.faults && config.metrics) {
+      EXPECT_GT(obs::Metrics::Instance()
+                    .GetCounter("columnar/degraded_serial_builds")
+                    .Value(),
+                0U);
+    }
     fault::Clear();
     obs::Metrics::SetEnabled(false);
     SetParallelThreads(0);
