@@ -90,6 +90,25 @@ void BM_MlpEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpEpoch);
 
+// Full training at the DL line-up's shapes: 240 training and 80 validation
+// rows (a 400-pair benchmark's 3:1:1 split), 40 epochs, input width 27
+// (the transformer-family features) or 160 (DeepMatcher over 5 attributes).
+void BM_MlpFit(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  auto train = MakeBlobs(240, dim, 15);
+  auto valid = MakeBlobs(80, dim, 16);
+  ml::MlpOptions options;
+  options.epochs = 40;
+  for (auto _ : state) {
+    ml::Mlp mlp(options);
+    mlp.Fit(train, valid);
+    benchmark::DoNotOptimize(mlp.best_valid_f1());
+    benchmark::DoNotOptimize(mlp.PredictScore(train.row(0)));
+  }
+  state.SetItemsProcessed(state.iterations() * 240 * 40);
+}
+BENCHMARK(BM_MlpFit)->Arg(27)->Arg(160)->Unit(benchmark::kMillisecond);
+
 void BM_MlpPredict(benchmark::State& state) {
   auto train = MakeBlobs(500, 25, 13);
   auto valid = MakeBlobs(100, 25, 14);

@@ -19,10 +19,12 @@
 #   6. observability end-to-end: one bench with RLBENCH_METRICS +
 #      RLBENCH_TRACE, manifest + trace validated by
 #      tools/validate_manifest.py
-#   7. vectorized kernels: the differential + golden suites and the
-#      columnar store tests re-run explicitly under ASan/UBSan, plus a
-#      micro_kernels smoke (scalar-vs-vectorized checksums asserted inside
-#      the bench; no perf thresholds under sanitizers)
+#   7. vectorized kernels: the differential + golden suites, the
+#      columnar store tests, panel MLP training vs its per-sample oracle
+#      and the incremental DeepBlocker tuner vs its exhaustive scan, re-run
+#      explicitly under ASan/UBSan, plus a micro_kernels smoke
+#      (scalar-vs-vectorized checksums asserted inside the bench; no perf
+#      thresholds under sanitizers)
 #   8. out-of-core bulk smoke: macro_bulk --smoke (20k records through
 #      both blocking modes, spill-to-disk, per-shard manifests) under the
 #      sanitizers, validated by tools/validate_manifest.py
@@ -227,6 +229,15 @@ echo "== [7/12] vectorized kernels: differential suite + bench smoke =="
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ASAN_OPTIONS="detect_leaks=1" \
     ./tests/data_test --gtest_filter='Columnar*'
+  # Panel MLP training vs the per-sample oracle, and the incremental
+  # DeepBlocker K scan vs the exhaustive re-materialising scan.
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+    ./tests/ml_test --gtest_filter='MlpPanelTest.*'
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+    ./tests/block_test \
+    --gtest_filter='DeepBlockerTest.IncrementalTunerMatchesExhaustiveScan'
 )
 # micro_kernels asserts scalar == vectorized checksums internally; scale
 # and rounds stay tiny because sanitizer timings are meaningless anyway

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "text/normalize.h"
@@ -76,6 +77,10 @@ std::vector<std::vector<uint32_t>> DeepBlockerSim::RankedNeighbors(
 
 namespace {
 
+uint64_t PairKey(uint32_t d1, uint32_t d2) {
+  return (static_cast<uint64_t>(d1) << 32) | d2;
+}
+
 /// Translate ranked neighbour lists truncated at k into (d1, d2) candidate
 /// pairs, respecting which table was indexed.
 std::vector<CandidatePair> MaterializeCandidates(
@@ -123,6 +128,12 @@ BlockingRun DeepBlockerSim::TuneForRecall(const datagen::SourcePair& source,
     }
   }
 
+  // Ground truth as pair keys; the distinct count is EvaluateBlocking's PC
+  // denominator.
+  std::unordered_set<uint64_t> truth;
+  truth.reserve(source.matches.size() * 2);
+  for (const auto& [d1, d2] : source.matches) truth.insert(PairKey(d1, d2));
+
   bool found_any = false;
   BlockingRun best;
   BlockingRun best_recall_fallback;
@@ -135,23 +146,38 @@ BlockingRun DeepBlockerSim::TuneForRecall(const datagen::SourcePair& source,
         const data::Table& query_table = index_d2 ? source.d1 : source.d2;
         auto ranked = RankedNeighbors(index_table, query_table, attr, clean,
                                       options.k_max);
-        // PC is monotone in k, so binary-search-free scan from k = 1 up and
-        // stop at the first k reaching the target (minimum candidates for
-        // this configuration).
+        // Scan k = 1, 2, ... incrementally. Rank k adds one distinct
+        // candidate per query that has a k-th neighbour (ranks within a
+        // query are distinct index records), so the candidate and hit
+        // counts at k are those at k - 1 plus rank k's; the metrics equal
+        // EvaluateBlocking's on the materialised set bit for bit. PC is
+        // monotone in k, so stop at the first k reaching the target (the
+        // fewest candidates for this configuration).
+        size_t num_candidates = 0;
+        size_t hits = 0;
         for (int k = 1; k <= options.k_max; ++k) {
-          auto candidates = MaterializeCandidates(ranked, k, index_d2);
+          const size_t rank = static_cast<size_t>(k - 1);
+          for (size_t q = 0; q < ranked.size(); ++q) {
+            if (rank >= ranked[q].size()) continue;
+            uint32_t query = static_cast<uint32_t>(q);
+            uint32_t neighbour = ranked[q][rank];
+            ++num_candidates;
+            hits += truth.count(index_d2 ? PairKey(query, neighbour)
+                                         : PairKey(neighbour, query));
+          }
           BlockingMetrics metrics =
-              EvaluateBlocking(candidates, source.matches);
+              BlockingMetricsFromCounts(hits, num_candidates, truth.size());
           RLBENCH_COUNTER_INC("block/deepblocker/configs_tried");
           BlockerConfig config{attr, clean, index_d2, k};
           if (metrics.pair_completeness > best_fallback_pc) {
             best_fallback_pc = metrics.pair_completeness;
-            best_recall_fallback = {config, candidates, metrics};
+            best_recall_fallback = {
+                config, MaterializeCandidates(ranked, k, index_d2), metrics};
           }
           if (metrics.pair_completeness >= options.min_recall) {
-            if (!found_any ||
-                candidates.size() < best.candidates.size()) {
-              best = {config, std::move(candidates), metrics};
+            if (!found_any || num_candidates < best.metrics.num_candidates) {
+              best = {config, MaterializeCandidates(ranked, k, index_d2),
+                      metrics};
               found_any = true;
             }
             break;  // larger k only adds candidates
@@ -160,7 +186,15 @@ BlockingRun DeepBlockerSim::TuneForRecall(const datagen::SourcePair& source,
       }
     }
   }
-  return found_any ? best : best_recall_fallback;
+  BlockingRun chosen =
+      found_any ? std::move(best) : std::move(best_recall_fallback);
+  // The one full evaluation: the incremental counts must agree with it.
+  BlockingMetrics evaluated =
+      EvaluateBlocking(chosen.candidates, source.matches);
+  RLBENCH_CHECK_EQ(evaluated.true_candidates, chosen.metrics.true_candidates);
+  RLBENCH_CHECK_EQ(evaluated.num_candidates, chosen.metrics.num_candidates);
+  chosen.metrics = evaluated;
+  return chosen;
 }
 
 }  // namespace rlbench::block

@@ -65,12 +65,16 @@ class DeepBlockerSim {
   /// configuration pick the smallest K reaching min_recall; return the run
   /// with the fewest candidates (maximum PQ) among those reaching it. If no
   /// configuration reaches the target, the run with the highest PC wins.
+  /// The K scan is incremental: each rank's hits are counted once, only a
+  /// new best or fallback is materialised, and EvaluateBlocking runs once,
+  /// on the returned candidates.
   BlockingRun TuneForRecall(const datagen::SourcePair& source,
                             const TuneOptions& options) const;
 
  private:
-  /// Record embedding for the configured text selection, with a process-
-  /// wide token-vector cache (records share a small vocabulary).
+  /// Record embedding for the configured text selection, with a token-
+  /// vector cache owned by this instance (records share a small
+  /// vocabulary).
   embed::Vec EmbedRecord(const data::Record& record, int attr,
                          bool clean) const;
 

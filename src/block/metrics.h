@@ -25,6 +25,13 @@ struct BlockingMetrics {
 BlockingMetrics EvaluateBlocking(const std::vector<CandidatePair>& candidates,
                                  const std::vector<CandidatePair>& matches);
 
+/// The metrics EvaluateBlocking reports for `num_candidates` candidates of
+/// which `true_candidates` hit distinct ground-truth matches, out of
+/// `distinct_matches` (0 = no ground truth: PC and PQ read 0).
+BlockingMetrics BlockingMetricsFromCounts(size_t true_candidates,
+                                          size_t num_candidates,
+                                          size_t distinct_matches);
+
 }  // namespace rlbench::block
 
 #endif  // RLBENCH_SRC_BLOCK_METRICS_H_

@@ -9,13 +9,23 @@ ContextEncoder::ContextEncoder(size_t dim, uint64_t seed,
                                const text::TfIdfModel* tfidf)
     : static_(dim, seed ^ variant_salt), tfidf_(tfidf) {}
 
+const Vec& ContextEncoder::StaticVector(const std::string& token) {
+  auto it = static_memo_.find(token);
+  if (it == static_memo_.end()) {
+    it = static_memo_.emplace(token, static_.EmbedToken(token)).first;
+  }
+  return it->second;
+}
+
 std::vector<Vec> ContextEncoder::EncodeTokens(
-    const std::vector<std::string>& tokens) const {
-  std::vector<Vec> base;
+    const std::vector<std::string>& tokens) {
+  // Memo entries are never erased and unordered_map nodes never move, so
+  // the pointers stay valid for the whole call.
+  std::vector<const Vec*> base;
   base.reserve(tokens.size());
   std::vector<double> idf(tokens.size(), 1.0);
   for (size_t i = 0; i < tokens.size(); ++i) {
-    base.push_back(static_.EmbedToken(tokens[i]));
+    base.push_back(&StaticVector(tokens[i]));
     if (tfidf_ != nullptr) idf[i] = tfidf_->Idf(tokens[i]);
   }
 
@@ -26,7 +36,7 @@ std::vector<Vec> ContextEncoder::EncodeTokens(
     std::vector<double> weights(base.size());
     double max_logit = -1e30;
     for (size_t j = 0; j < base.size(); ++j) {
-      double logit = Dot(base[i], base[j]) * idf[j];
+      double logit = Dot(*base[i], *base[j]) * idf[j];
       weights[j] = logit;
       if (logit > max_logit) max_logit = logit;
     }
@@ -37,9 +47,9 @@ std::vector<Vec> ContextEncoder::EncodeTokens(
     }
     Vec context(static_.dim(), 0.0F);
     for (size_t j = 0; j < base.size(); ++j) {
-      AxpyInPlace(&context, static_cast<float>(weights[j] / denom), base[j]);
+      AxpyInPlace(&context, static_cast<float>(weights[j] / denom), *base[j]);
     }
-    Vec out = base[i];
+    Vec out = *base[i];
     ScaleInPlace(&out, static_cast<float>(1.0 - mixing_));
     AxpyInPlace(&out, static_cast<float>(mixing_), context);
     L2NormalizeInPlace(&out);
@@ -48,8 +58,7 @@ std::vector<Vec> ContextEncoder::EncodeTokens(
   return mixed;
 }
 
-Vec ContextEncoder::EncodeSequence(
-    const std::vector<std::string>& tokens) const {
+Vec ContextEncoder::EncodeSequence(const std::vector<std::string>& tokens) {
   Vec pooled(static_.dim(), 0.0F);
   if (tokens.empty()) return pooled;
   auto vecs = EncodeTokens(tokens);

@@ -16,17 +16,32 @@ double Dot(const Vec& a, const Vec& b) {
 
 double Norm(const Vec& a) { return std::sqrt(Dot(a, a)); }
 
+namespace {
+
+double CosineFromDot(double dot, double na, double nb) {
+  if (na == 0.0 || nb == 0.0) return 0.0;
+  // Rounding can push the quotient a hair outside [-1, 1]; clamp so the
+  // [0, 1] rescaling below stays a valid probability.
+  return std::clamp(dot / (na * nb), -1.0, 1.0);
+}
+
+}  // namespace
+
 double Cosine(const Vec& a, const Vec& b) {
   double na = Norm(a);
   double nb = Norm(b);
   if (na == 0.0 || nb == 0.0) return 0.0;
-  // Rounding can push the quotient a hair outside [-1, 1]; clamp so the
-  // [0, 1] rescaling below stays a valid probability.
-  return std::clamp(Dot(a, b) / (na * nb), -1.0, 1.0);
+  return CosineFromDot(Dot(a, b), na, nb);
 }
 
 double CosineSimilarity01(const Vec& a, const Vec& b) {
   double sim = 0.5 * (1.0 + Cosine(a, b));
+  RLBENCH_DCHECK_PROB(sim);
+  return sim;
+}
+
+double CosineSimilarity01FromDot(double dot, double norm_a, double norm_b) {
+  double sim = 0.5 * (1.0 + CosineFromDot(dot, norm_a, norm_b));
   RLBENCH_DCHECK_PROB(sim);
   return sim;
 }

@@ -13,8 +13,14 @@ double Dot(const Vec& a, const Vec& b);
 double Norm(const Vec& a);
 
 /// Cosine similarity mapped to [0, 1]: (1 + cos) / 2 for general vectors;
-/// returns 0 for a zero vector.
+/// returns 0.5 (cos = 0) when either vector is zero.
 double CosineSimilarity01(const Vec& a, const Vec& b);
+
+/// CosineSimilarity01 from a precomputed dot product and norms. The same
+/// arithmetic, so the result is bit-identical to CosineSimilarity01(a, b)
+/// when given Dot(a, b), Norm(a) and Norm(b). Dot and the norm product are
+/// symmetric bit for bit, so one value serves (a, b) and (b, a).
+double CosineSimilarity01FromDot(double dot, double norm_a, double norm_b);
 
 /// Raw cosine in [-1, 1] (0 for zero vectors).
 double Cosine(const Vec& a, const Vec& b);

@@ -16,14 +16,16 @@
 // "dynamic" ones pass through the attention context mixer (BERT stand-in).
 // Sequences are capped at kMaxSequenceTokens, mirroring the 512-token
 // attention span the paper highlights for transformer models.
+//
+// All caches (token vectors, record representations, the dynamic encoder)
+// belong to one Run call and are freed when it returns, so an instance
+// carries no state from one task to the next.
 #ifndef RLBENCH_SRC_MATCHERS_DL_SIMS_H_
 #define RLBENCH_SRC_MATCHERS_DL_SIMS_H_
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/rng.h"
-#include "embed/context_encoder.h"
 #include "embed/hashed_embedding.h"
 #include "matchers/matcher.h"
 #include "ml/mlp.h"
@@ -77,16 +79,20 @@ class DlMatcher : public Matcher {
     // cross-encoder attends across both sequences, so pair features include
     // token alignment), static for HierMatcher. Capped.
     std::vector<embed::Vec> token_vecs;
+    std::vector<double> token_norms;    // embed::Norm of each token vector
     std::vector<double> token_idf;
     std::vector<size_t> token_attr;     // attribute of each token (Hier)
   };
 
-  const RecordRep& Rep(const MatchingContext& context, bool left_side,
-                       uint32_t record);
+  /// The caches of one Run call (defined in dl_sims.cc).
+  struct RunState;
+
+  const RecordRep& Rep(RunState* state, bool left_side,
+                       uint32_t record) const;
   /// `dropout` (DITTO augmentation) drops each token with
   /// ditto_token_dropout probability before encoding; null = no dropout.
-  RecordRep BuildRep(const MatchingContext& context, bool left_side,
-                     uint32_t record, Rng* dropout) const;
+  RecordRep BuildRep(RunState* state, bool left_side, uint32_t record,
+                     Rng* dropout) const;
 
   std::vector<float> PairFeatures(const RecordRep& left,
                                   const RecordRep& right) const;
@@ -102,9 +108,6 @@ class DlMatcher : public Matcher {
   int epochs_;
   DlOptions options_;
   embed::HashedEmbedding static_model_;
-  std::unique_ptr<embed::ContextEncoder> dynamic_model_;
-  mutable std::unordered_map<std::string, embed::Vec> token_cache_;
-  std::vector<std::unordered_map<uint32_t, RecordRep>> rep_cache_;
 };
 
 }  // namespace rlbench::matchers

@@ -44,47 +44,66 @@ struct Adam {
   }
 };
 
+/// Weight (and bias) gradients of one layer over a panel:
+///   g[i * dim + j] += a[i * batch + r] * x[r * dim + j]
+///   g_bias[i]      += a[i * batch + r]
+/// for every row r of the panel, each accumulator adding its per-sample
+/// terms in ascending r, the order a row-at-a-time loop adds them in. Four
+/// rows' terms are chained through a register before each store; the chain
+/// keeps that order, so every accumulator rounds exactly as it would one
+/// row at a time.
+template <typename T>
+void AccumulateOuter(const double* a, size_t units, size_t batch,
+                     const T* x, size_t dim, double* g, double* g_bias) {
+  for (size_t i = 0; i < units; ++i) {
+    double* gi = g + i * dim;
+    const double* ai = a + i * batch;
+    size_t r = 0;
+    for (; r + 4 <= batch; r += 4) {
+      const T* x0 = x + r * dim;
+      const T* x1 = x0 + dim;
+      const T* x2 = x1 + dim;
+      const T* x3 = x2 + dim;
+      double a0 = ai[r], a1 = ai[r + 1], a2 = ai[r + 2], a3 = ai[r + 3];
+      for (size_t j = 0; j < dim; ++j) {
+        double acc = gi[j];
+        acc += a0 * x0[j];
+        acc += a1 * x1[j];
+        acc += a2 * x2[j];
+        acc += a3 * x3[j];
+        gi[j] = acc;
+      }
+    }
+    for (; r < batch; ++r) {
+      const T* xr = x + r * dim;
+      for (size_t j = 0; j < dim; ++j) gi[j] += ai[r] * xr[j];
+    }
+    for (r = 0; r < batch; ++r) g_bias[i] += ai[r];
+  }
+}
+
 }  // namespace
 
-double Mlp::Forward(std::span<const float> x, const Params& p,
-                    std::vector<double>* z1, std::vector<double>* pre1,
-                    std::vector<double>* pre_t, std::vector<double>* pre_h,
-                    std::vector<double>* z2) const {
+void Mlp::ForwardPanel(const float* xt, size_t batch, double* z1, double* t,
+                       double* g, double* z2, double* logits) const {
+  namespace k = text::kernels;
+  const Params& p = params_;
   size_t h = options_.hidden;
-  size_t d = input_dim_;
-  pre1->assign(h, 0.0);
-  for (size_t i = 0; i < h; ++i) {
-    double sum = p.b1[i];
-    const double* row = &p.w1[i * d];
-    for (size_t j = 0; j < d; ++j) sum += row[j] * x[j];
-    (*pre1)[i] = sum;
+  size_t n = h * batch;
+  // The [unit * batch + r] output layout of one affine is exactly the
+  // column-major input layout the next one consumes, so the panel flows
+  // through the network with no further transposes.
+  k::BatchedAffineF32(p.w1.data(), p.b1.data(), h, input_dim_, xt, batch,
+                      z1);
+  for (size_t i = 0; i < n; ++i) z1[i] = std::max(0.0, z1[i]);
+  k::DualBatchedAffineF64(p.wt.data(), p.bt.data(), p.wh.data(), p.bh.data(),
+                          h, h, z1, batch, t, g);
+  for (size_t i = 0; i < n; ++i) {
+    t[i] = Sigmoid(t[i]);
+    g[i] = std::max(0.0, g[i]);
+    z2[i] = t[i] * g[i] + (1.0 - t[i]) * z1[i];
   }
-  z1->assign(h, 0.0);
-  for (size_t i = 0; i < h; ++i) (*z1)[i] = std::max(0.0, (*pre1)[i]);
-
-  pre_t->assign(h, 0.0);
-  pre_h->assign(h, 0.0);
-  for (size_t i = 0; i < h; ++i) {
-    double st = p.bt[i];
-    double sh = p.bh[i];
-    const double* rt = &p.wt[i * h];
-    const double* rh = &p.wh[i * h];
-    for (size_t j = 0; j < h; ++j) {
-      st += rt[j] * (*z1)[j];
-      sh += rh[j] * (*z1)[j];
-    }
-    (*pre_t)[i] = st;
-    (*pre_h)[i] = sh;
-  }
-  z2->assign(h, 0.0);
-  for (size_t i = 0; i < h; ++i) {
-    double t = Sigmoid((*pre_t)[i]);
-    double g = std::max(0.0, (*pre_h)[i]);
-    (*z2)[i] = t * g + (1.0 - t) * (*z1)[i];
-  }
-  double logit = p.b2;
-  for (size_t i = 0; i < h; ++i) logit += p.w2[i] * (*z2)[i];
-  return logit;
+  k::BatchedAffineF64(p.w2.data(), &p.b2, 1, h, z2, batch, logits);
 }
 
 void Mlp::Fit(const Dataset& train, const Dataset& valid) {
@@ -115,6 +134,7 @@ void Mlp::Fit(const Dataset& train, const Dataset& valid) {
   params_.b2 = 0.0;
 
   if (scaled.empty()) return;
+  RLBENCH_CHECK_GE(options_.batch_size, size_t{1});
 
   double positives = static_cast<double>(scaled.CountPositives());
   double negatives = static_cast<double>(scaled.size()) - positives;
@@ -129,20 +149,45 @@ void Mlp::Fit(const Dataset& train, const Dataset& valid) {
   std::vector<size_t> order(scaled.size());
   std::iota(order.begin(), order.end(), size_t{0});
 
-  std::vector<double> z1, pre1, pre_t, pre_h, z2;
   std::vector<double> g_w1(h * d), g_b1(h), g_wt(h * h), g_bt(h), g_wh(h * h),
       g_bh(h), g_w2(h), g_b2(1);
-  std::vector<double> dz1(h), dz2(h), dpre_t(h), dpre_h(h), dpre1(h);
+
+  // Panel scratch, sized once for the largest panel: a training mini-batch
+  // or a block of validation rows.
+  const size_t cap = std::min(options_.batch_size,
+                              std::max(scaled.size(), scaled_valid.size()));
+  std::vector<float> xt(d * cap), x_rows(cap * d);
+  std::vector<double> z1(h * cap), t(h * cap), g(h * cap), z2(h * cap),
+      logits(cap), dlogit(cap), dz1(h * cap), dpre_t(h * cap),
+      dpre_h(h * cap), z1_rows(cap * h);
+
+  // The validation panels never change across epochs: transpose them once.
+  std::vector<float> valid_xt(scaled_valid.size() * d);
+  for (size_t begin = 0; begin < scaled_valid.size(); begin += cap) {
+    size_t batch = std::min(cap, scaled_valid.size() - begin);
+    float* panel = valid_xt.data() + begin * d;
+    for (size_t r = 0; r < batch; ++r) {
+      auto row = scaled_valid.row(begin + r);
+      for (size_t j = 0; j < d; ++j) panel[j * batch + r] = row[j];
+    }
+  }
 
   Params best = params_;
   best_valid_f1_ = -1.0;
   best_epoch_ = -1;
 
+  // The backward pass runs on the mini-batch's panel. Each gradient
+  // accumulator adds its per-sample terms in sample order (r ascending),
+  // and dz1 adds its per-unit terms in unit order, exactly as a
+  // row-at-a-time loop would: loops are only reordered across independent
+  // accumulators, so the parameters are bit-identical to per-sample
+  // training.
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(&order);
     for (size_t start = 0; start < order.size();
          start += options_.batch_size) {
       size_t end = std::min(order.size(), start + options_.batch_size);
+      size_t batch = end - start;
       std::fill(g_w1.begin(), g_w1.end(), 0.0);
       std::fill(g_b1.begin(), g_b1.end(), 0.0);
       std::fill(g_wt.begin(), g_wt.end(), 0.0);
@@ -152,64 +197,94 @@ void Mlp::Fit(const Dataset& train, const Dataset& valid) {
       std::fill(g_w2.begin(), g_w2.end(), 0.0);
       g_b2[0] = 0.0;
 
-      for (size_t k = start; k < end; ++k) {
-        auto x = scaled.row(order[k]);
-        double y = scaled.label(order[k]) ? 1.0 : 0.0;
-        double logit =
-            Forward(x, params_, &z1, &pre1, &pre_t, &pre_h, &z2);
-        double p = Sigmoid(logit);
-        double weight = scaled.label(order[k]) ? pos_weight : 1.0;
-        double dlogit = weight * (p - y);
+      // The mini-batch as a panel (column-major, for the forward kernels)
+      // and as rows (row-major, for the weight gradients).
+      for (size_t r = 0; r < batch; ++r) {
+        auto row = scaled.row(order[start + r]);
+        std::copy(row.begin(), row.end(), x_rows.begin() + r * d);
+        for (size_t j = 0; j < d; ++j) xt[j * batch + r] = row[j];
+      }
+      ForwardPanel(xt.data(), batch, z1.data(), t.data(), g.data(),
+                   z2.data(), logits.data());
+      for (size_t r = 0; r < batch; ++r) {
+        bool label = scaled.label(order[start + r]);
+        double y = label ? 1.0 : 0.0;
+        double p = Sigmoid(logits[r]);
+        double weight = label ? pos_weight : 1.0;
+        dlogit[r] = weight * (p - y);
+      }
 
-        for (size_t i = 0; i < h; ++i) g_w2[i] += dlogit * z2[i];
-        g_b2[0] += dlogit;
+      // Output layer.
+      for (size_t i = 0; i < h; ++i) {
+        const double* z2i = z2.data() + i * batch;
+        for (size_t r = 0; r < batch; ++r) g_w2[i] += dlogit[r] * z2i[r];
+      }
+      for (size_t r = 0; r < batch; ++r) g_b2[0] += dlogit[r];
 
-        for (size_t i = 0; i < h; ++i) dz2[i] = dlogit * params_.w2[i];
-
-        // Highway backward.
-        std::fill(dz1.begin(), dz1.end(), 0.0);
-        for (size_t i = 0; i < h; ++i) {
-          double t = Sigmoid(pre_t[i]);
-          double g = std::max(0.0, pre_h[i]);
-          double dt = dz2[i] * (g - z1[i]);
-          double dg = dz2[i] * t;
-          dz1[i] += dz2[i] * (1.0 - t);
-          dpre_t[i] = dt * t * (1.0 - t);
-          dpre_h[i] = pre_h[i] > 0.0 ? dg : 0.0;
+      // Highway backward, element by element. dz1 starts from the carry
+      // path's term (added to zero, as the accumulator it is).
+      for (size_t i = 0; i < h; ++i) {
+        for (size_t r = 0; r < batch; ++r) {
+          size_t at = i * batch + r;
+          double dz2 = dlogit[r] * params_.w2[i];
+          double dt = dz2 * (g[at] - z1[at]);
+          double dg = dz2 * t[at];
+          dz1[at] = 0.0 + dz2 * (1.0 - t[at]);
+          dpre_t[at] = dt * t[at] * (1.0 - t[at]);
+          dpre_h[at] = g[at] > 0.0 ? dg : 0.0;
         }
-        for (size_t i = 0; i < h; ++i) {
-          double* gt = &g_wt[i * h];
-          double* gh = &g_wh[i * h];
-          const double* rt = &params_.wt[i * h];
-          const double* rh = &params_.wh[i * h];
-          for (size_t j = 0; j < h; ++j) {
-            gt[j] += dpre_t[i] * z1[j];
-            gh[j] += dpre_h[i] * z1[j];
-            dz1[j] += rt[j] * dpre_t[i] + rh[j] * dpre_h[i];
+      }
+      for (size_t r = 0; r < batch; ++r) {
+        for (size_t j = 0; j < h; ++j) z1_rows[r * h + j] = z1[j * batch + r];
+      }
+      AccumulateOuter(dpre_t.data(), h, batch, z1_rows.data(), h, g_wt.data(),
+                      g_bt.data());
+      AccumulateOuter(dpre_h.data(), h, batch, z1_rows.data(), h, g_wh.data(),
+                      g_bh.data());
+      // dz1 adds each unit's term in ascending unit order, two units per
+      // pass through the panel.
+      for (size_t i = 0; i < h; i += 2) {
+        size_t pair = std::min<size_t>(2, h - i);
+        const double* dt0 = dpre_t.data() + i * batch;
+        const double* dh0 = dpre_h.data() + i * batch;
+        const double* rt0 = params_.wt.data() + i * h;
+        const double* rh0 = params_.wh.data() + i * h;
+        for (size_t j = 0; j < h; ++j) {
+          double* dz1j = dz1.data() + j * batch;
+          double wt0 = rt0[j], wh0 = rh0[j];
+          if (pair == 2) {
+            double wt1 = rt0[h + j], wh1 = rh0[h + j];
+            const double* dt1 = dt0 + batch;
+            const double* dh1 = dh0 + batch;
+            for (size_t r = 0; r < batch; ++r) {
+              double acc = dz1j[r];
+              acc += wt0 * dt0[r] + wh0 * dh0[r];
+              acc += wt1 * dt1[r] + wh1 * dh1[r];
+              dz1j[r] = acc;
+            }
+          } else {
+            for (size_t r = 0; r < batch; ++r) {
+              dz1j[r] += wt0 * dt0[r] + wh0 * dh0[r];
+            }
           }
-          g_bt[i] += dpre_t[i];
-          g_bh[i] += dpre_h[i];
-        }
-
-        // Dense backward.
-        for (size_t i = 0; i < h; ++i) {
-          dpre1[i] = pre1[i] > 0.0 ? dz1[i] : 0.0;
-        }
-        for (size_t i = 0; i < h; ++i) {
-          double* gw = &g_w1[i * d];
-          for (size_t j = 0; j < d; ++j) gw[j] += dpre1[i] * x[j];
-          g_b1[i] += dpre1[i];
         }
       }
 
-      double inv = 1.0 / static_cast<double>(end - start);
-      for (double& g : g_w1) g *= inv;
-      for (double& g : g_b1) g *= inv;
-      for (double& g : g_wt) g *= inv;
-      for (double& g : g_bt) g *= inv;
-      for (double& g : g_wh) g *= inv;
-      for (double& g : g_bh) g *= inv;
-      for (double& g : g_w2) g *= inv;
+      // Dense backward; z1 > 0 exactly where the pre-activation is.
+      for (size_t at = 0; at < h * batch; ++at) {
+        if (!(z1[at] > 0.0)) dz1[at] = 0.0;
+      }
+      AccumulateOuter(dz1.data(), h, batch, x_rows.data(), d, g_w1.data(),
+                      g_b1.data());
+
+      double inv = 1.0 / static_cast<double>(batch);
+      for (double& v : g_w1) v *= inv;
+      for (double& v : g_b1) v *= inv;
+      for (double& v : g_wt) v *= inv;
+      for (double& v : g_bt) v *= inv;
+      for (double& v : g_wh) v *= inv;
+      for (double& v : g_bh) v *= inv;
+      for (double& v : g_w2) v *= inv;
       g_b2[0] *= inv;
 
       double lr = options_.learning_rate;
@@ -227,17 +302,19 @@ void Mlp::Fit(const Dataset& train, const Dataset& valid) {
     }
 
     if (options_.select_best_epoch_on_valid && !scaled_valid.empty()) {
-      // Evaluate the current epoch's model on the validation set.
+      // Evaluate the current epoch's model on the validation panels.
       Confusion c;
-      std::vector<double> tz1, tpre1, tpre_t, tpre_h, tz2;
-      for (size_t i = 0; i < scaled_valid.size(); ++i) {
-        double logit = Forward(scaled_valid.row(i), params_, &tz1, &tpre1,
-                               &tpre_t, &tpre_h, &tz2);
-        bool predicted = logit >= 0.0;
-        if (scaled_valid.label(i)) {
-          predicted ? ++c.true_positives : ++c.false_negatives;
-        } else {
-          predicted ? ++c.false_positives : ++c.true_negatives;
+      for (size_t begin = 0; begin < scaled_valid.size(); begin += cap) {
+        size_t batch = std::min(cap, scaled_valid.size() - begin);
+        ForwardPanel(valid_xt.data() + begin * d, batch, z1.data(), t.data(),
+                     g.data(), z2.data(), logits.data());
+        for (size_t r = 0; r < batch; ++r) {
+          bool predicted = logits[r] >= 0.0;
+          if (scaled_valid.label(begin + r)) {
+            predicted ? ++c.true_positives : ++c.false_negatives;
+          } else {
+            predicted ? ++c.false_positives : ++c.true_negatives;
+          }
         }
       }
       double f1 = c.F1();
@@ -262,7 +339,6 @@ void Mlp::PredictScoresBatch(const Dataset& rows, std::span<double> out) const {
   RLBENCH_CHECK_EQ(out.size(), rows.size());
   if (rows.empty()) return;
   RLBENCH_CHECK_EQ(rows.num_features(), input_dim_);
-  namespace k = text::kernels;
   size_t h = options_.hidden;
   size_t d = input_dim_;
   // Rows per panel: large enough that each weight matrix read is amortised
@@ -285,9 +361,9 @@ void Mlp::PredictScoresBatch(const Dataset& rows, std::span<double> out) const {
     float* scaled = fscratch.data();
     float* xt = scaled + d;
     double* z1 = dscratch.data();
-    double* pre_t = z1 + h * batch;
-    double* pre_h = pre_t + h * batch;
-    double* z2 = pre_h + h * batch;
+    double* t = z1 + h * batch;
+    double* g = t + h * batch;
+    double* z2 = g + h * batch;
     double* logits = z2 + h * batch;
     // Scale each row exactly as PredictScore does, then transpose the
     // panel to column-major so the affine kernels walk contiguous floats.
@@ -297,24 +373,7 @@ void Mlp::PredictScoresBatch(const Dataset& rows, std::span<double> out) const {
       scaler_.Transform(std::span<float>(scaled, d));
       for (size_t j = 0; j < d; ++j) xt[j * batch + r] = scaled[j];
     }
-    // The [unit * batch + r] output layout of one affine is exactly the
-    // column-major input layout the next one consumes, so the panel flows
-    // through the network with no further transposes. Every accumulator
-    // walks its inputs in the same ascending order as Forward, so each
-    // score carries the identical bits (the differential tests pin it).
-    k::BatchedAffineF32(params_.w1.data(), params_.b1.data(), h, d, xt,
-                        batch, z1);
-    for (size_t i = 0; i < h * batch; ++i) z1[i] = std::max(0.0, z1[i]);
-    k::DualBatchedAffineF64(params_.wt.data(), params_.bt.data(),
-                            params_.wh.data(), params_.bh.data(), h, h, z1,
-                            batch, pre_t, pre_h);
-    for (size_t i = 0; i < h * batch; ++i) {
-      double t = Sigmoid(pre_t[i]);
-      double g = std::max(0.0, pre_h[i]);
-      z2[i] = t * g + (1.0 - t) * z1[i];
-    }
-    k::BatchedAffineF64(params_.w2.data(), &params_.b2, 1, h, z2, batch,
-                        logits);
+    ForwardPanel(xt, batch, z1, t, g, z2, logits);
     for (size_t r = 0; r < batch; ++r) {
       RLBENCH_DCHECK_FINITE(logits[r]);
       double score = Sigmoid(logits[r]);
@@ -325,10 +384,15 @@ void Mlp::PredictScoresBatch(const Dataset& rows, std::span<double> out) const {
 }
 
 double Mlp::PredictScore(std::span<const float> row) const {
+  RLBENCH_CHECK_EQ(row.size(), input_dim_);
+  // A one-row panel: its column-major layout is the scaled row itself.
   std::vector<float> scaled(row.begin(), row.end());
   scaler_.Transform(scaled);
-  std::vector<double> z1, pre1, pre_t, pre_h, z2;
-  double logit = Forward(scaled, params_, &z1, &pre1, &pre_t, &pre_h, &z2);
+  size_t h = options_.hidden;
+  std::vector<double> scratch(4 * h);
+  double* z1 = scratch.data();
+  double logit = 0.0;
+  ForwardPanel(scaled.data(), 1, z1, z1 + h, z1 + 2 * h, z1 + 3 * h, &logit);
   RLBENCH_DCHECK_FINITE(logit);
   double score = Sigmoid(logit);
   RLBENCH_DCHECK_PROB(score);

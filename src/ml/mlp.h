@@ -3,6 +3,12 @@
 // all simulated DL matchers; the highway layer mirrors DeepMatcher's
 // two-layer HighwayNet classifier. The validation set selects the best
 // epoch (the paper aligned EMTransformer to do exactly this).
+//
+// Training, validation and scoring all run on panels: a mini-batch of rows
+// stored column-major flows through the batched affine kernels in one call
+// per layer. Every gradient accumulator still adds its per-sample terms in
+// sample order, so the trained parameters carry the same bits as a
+// row-at-a-time loop (tests/ml/mlp_reference.h is that loop, the oracle).
 #ifndef RLBENCH_SRC_ML_MLP_H_
 #define RLBENCH_SRC_ML_MLP_H_
 
@@ -38,8 +44,8 @@ class Mlp : public Classifier {
   double PredictScore(std::span<const float> row) const override;
 
   /// Score every row of `rows` into `out` (same length). Bit-identical to
-  /// calling PredictScore per row; internally transposes blocks of rows
-  /// into column-major panels and runs the batched affine kernels
+  /// calling PredictScore per row (a one-row panel); transposes blocks of
+  /// rows into column-major panels for the batched affine kernels
   /// (text/kernels.h), so each weight matrix streams once per block
   /// instead of once per row.
   void PredictScoresBatch(const Dataset& rows, std::span<double> out) const;
@@ -59,10 +65,14 @@ class Mlp : public Classifier {
     double b2 = 0.0;
   };
 
-  double Forward(std::span<const float> scaled_row, const Params& params,
-                 std::vector<double>* z1, std::vector<double>* pre1,
-                 std::vector<double>* pre_t, std::vector<double>* pre_h,
-                 std::vector<double>* z2) const;
+  /// Forward pass of one panel: `batch` scaled rows stored column-major in
+  /// `xt` (feature j of row r at xt[j * batch + r]). Writes the dense ReLU
+  /// `z1`, the transform gate `t`, the ReLU candidate `g` and the highway
+  /// output `z2`, each laid out [unit * batch + r], and one logit per row.
+  /// Every accumulator walks its inputs in ascending order, so a row's
+  /// values do not depend on the panel it rides in.
+  void ForwardPanel(const float* xt, size_t batch, double* z1, double* t,
+                    double* g, double* z2, double* logits) const;
 
   MlpOptions options_;
   StandardScaler scaler_;

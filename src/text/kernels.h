@@ -1,7 +1,7 @@
 // Vectorized similarity kernels over columnar data (ISSUE 7 tentpole).
 //
 // Every kernel here has a retained scalar reference (text/similarity.h,
-// embed/vector_ops.h, ml/mlp.cc) and a differential test
+// embed/vector_ops.h, tests/ml/mlp_reference.h) and a differential test
 // (tests/text/kernels_differential_test.cc) proving agreement. The contract
 // per kernel is either:
 //
@@ -194,10 +194,10 @@ inline constexpr size_t kLevenshteinStackCap = 128;
 // The MLP hot loop. Both kernels compute, for every unit i and batch row r,
 //     out[i * batch + r] = bias[i] + Σ_j w[i * dim + j] · xt[j * batch + r]
 // with j ascending and a single double accumulator per (i, r) — the exact
-// accumulation order of Mlp::Forward's per-row loop, so batching across
-// rows is BIT-EXACT vs per-row scoring. xt is the transposed input block
-// (column-major: feature j contiguous across the batch), which is what lets
-// the inner r-loop autovectorize.
+// accumulation order of a per-row forward loop, so batching across rows is
+// BIT-EXACT vs per-row scoring (ml::Mlp trains and scores through them). xt
+// is the transposed input block (column-major: feature j contiguous across
+// the batch), which is what lets the inner r-loop autovectorize.
 
 /// Input block of floats (layer 1: scaled feature rows).
 void BatchedAffineF32(const double* w, const double* bias, size_t units,

@@ -83,6 +83,32 @@ TEST_F(MatchersTest, DlMatcherDeterministic) {
   EXPECT_EQ(a.Run(*easy_), b.Run(*easy_));
 }
 
+TEST(DlMatcherStateTest, ReusedInstanceMatchesFreshInstances) {
+  // Two tasks with different schemas (8 vs 3 attributes) and vocabularies,
+  // so any state leaking from one Run into the next would show.
+  auto task_a = datagen::BuildExistingBenchmark(
+      *datagen::FindExistingBenchmark("Ds3"), 0.5);
+  auto task_b = datagen::BuildExistingBenchmark(
+      *datagen::FindExistingBenchmark("Dt1"), 0.02);
+  MatchingContext a(&task_a);
+  MatchingContext b(&task_b);
+  for (auto method :
+       {DlMethod::kDeepMatcher, DlMethod::kEmTransformerB,
+        DlMethod::kEmTransformerR, DlMethod::kGnem, DlMethod::kDitto,
+        DlMethod::kHierMatcher}) {
+    SCOPED_TRACE(DlMethodName(method));
+    DlMatcher reused(method, 3);
+    auto first_a = reused.Run(a);
+    auto then_b = reused.Run(b);
+    auto again_a = reused.Run(a);
+    auto fresh_a = DlMatcher(method, 3).Run(a);
+    auto fresh_b = DlMatcher(method, 3).Run(b);
+    EXPECT_EQ(first_a, fresh_a);
+    EXPECT_EQ(then_b, fresh_b);
+    EXPECT_EQ(again_a, fresh_a);
+  }
+}
+
 TEST_F(MatchersTest, EpochCountInName) {
   EXPECT_EQ(DlMatcher(DlMethod::kDeepMatcher, 15).name(),
             "DeepMatcher (15)");

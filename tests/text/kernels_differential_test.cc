@@ -1,6 +1,7 @@
 // Differential harness for the vectorized kernels (ISSUE 7): every kernel
 // in text/kernels.h is replayed against its retained scalar reference
-// (text/similarity.h, embed/vector_ops.h, ml::Mlp::PredictScore) over
+// (text/similarity.h, embed/vector_ops.h, the per-row MLP in
+// tests/ml/mlp_reference.h) over
 // randomized corpora and adversarial inputs. BIT-EXACT kernels are held to
 // exact double equality; the single TOLERANCE kernel (DotBlocked) is held
 // to its documented 1e-6 relative bound. A final sweep re-runs the batch
@@ -30,6 +31,7 @@
 #include "matchers/features.h"
 #include "ml/dataset.h"
 #include "ml/mlp.h"
+#include "ml/mlp_reference.h"
 #include "obs/metrics.h"
 #include "text/qgrams.h"
 #include "text/similarity.h"
@@ -326,7 +328,8 @@ TEST(KernelsDifferentialTest, BatchedAffineMatchesPerRowAccumulation) {
                          out32.data());
         BatchedAffineF64(w.data(), bias.data(), units, dim, xt64.data(), batch,
                          out64.data());
-        // Per-row reference: the exact loop of Mlp::Forward.
+        // Per-row reference: the exact loop of the per-row MLP forward pass
+        // (tests/ml/mlp_reference.h).
         for (size_t r = 0; r < batch; ++r) {
           for (size_t i = 0; i < units; ++i) {
             double s32 = bias[i];
@@ -373,15 +376,19 @@ TEST(KernelsDifferentialTest, MlpBatchScoresBitIdenticalToPerRow) {
   options.epochs = 3;
   options.hidden = 16;
   ml::Mlp mlp(options);
+  ml::testing::ReferenceMlp reference(options);
   ml::Dataset train = RandomDataset(rng, 300, 12);
   ml::Dataset valid = RandomDataset(rng, 60, 12);
   mlp.Fit(train, valid);
-  // 600 rows spans multiple panels including a ragged tail.
+  reference.Fit(train, valid);
+  // 600 rows spans multiple panels including a ragged tail. The per-row
+  // oracle is the reference's row-at-a-time forward pass.
   ml::Dataset test = RandomDataset(rng, 600, 12);
   std::vector<double> batch(test.size());
   mlp.PredictScoresBatch(test, batch);
   for (size_t i = 0; i < test.size(); ++i) {
-    ASSERT_EQ(batch[i], mlp.PredictScore(test.row(i))) << "row " << i;
+    ASSERT_EQ(batch[i], reference.PredictScore(test.row(i))) << "row " << i;
+    ASSERT_EQ(mlp.PredictScore(test.row(i)), batch[i]) << "row " << i;
   }
 }
 
