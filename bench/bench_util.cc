@@ -1,12 +1,16 @@
 #include "bench_util.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "data/csv.h"
 #include "data/file_source.h"
@@ -105,11 +109,45 @@ std::optional<std::vector<CachedScore>> LoadScores(const std::string& name) {
   return scores;
 }
 
+namespace {
+
+// Median of a non-empty sample (mean of the middle pair for even sizes).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+}  // namespace
+
+Timing Measure(int repeats, const std::function<void()>& fn) {
+  RLBENCH_CHECK_MSG(repeats >= 1, "--repeats must be at least 1");
+  fn();  // warm-up: caches, lazy set-up and page faults stay untimed
+  std::vector<double> seconds;
+  seconds.reserve(static_cast<size_t>(repeats));
+  for (int r = 0; r < repeats; ++r) {
+    Stopwatch watch;
+    fn();
+    seconds.push_back(watch.ElapsedSeconds());
+  }
+  Timing timing;
+  timing.median_s = Median(seconds);
+  for (double& s : seconds) s = std::fabs(s - timing.median_s);
+  timing.mad_s = Median(std::move(seconds));
+  return timing;
+}
+
 BenchRun::BenchRun(const char* name) : manifest_(name) {
   obs::SetCurrentThreadName("main");
 }
 
 BenchRun::~BenchRun() { Finish(); }
+
+void BenchRun::AddTiming(const std::string& key, const Timing& timing) {
+  manifest_.AddResult(key + "_median_s", timing.median_s);
+  manifest_.AddResult(key + "_mad_s", timing.mad_s);
+}
 
 void BenchRun::Finish() {
   if (finished_) return;
@@ -129,19 +167,39 @@ void BenchRun::Finish() {
   // the digit.
   manifest_.Finalize();
   double seconds = manifest_.TotalSeconds();
+  const std::string json = manifest_.ToJson();
   std::string manifest_path =
       ResultsDir() + "/" + manifest_.name() + ".manifest.json";
-  Status write = data::FileSource::WriteAtomic(manifest_path,
-                                               manifest_.ToJson());
+  Status write = data::FileSource::WriteAtomic(manifest_path, json);
   if (!write.ok()) {
     std::fprintf(stderr, "bench: cannot write manifest %s: %s\n",
                  manifest_path.c_str(), write.ToString().c_str());
     manifest_path.clear();
   }
+  std::string published_path;
+  if (!publish_stem_.empty()) {
+    if (manifest_.HasFailedPhase() || fault::FaultsEnabled()) {
+      std::fprintf(stderr,
+                   "bench: failed or fault-injected run, BENCH_%s.json not "
+                   "published\n",
+                   publish_stem_.c_str());
+    } else {
+      published_path = ResultsDir() + "/BENCH_" + publish_stem_ + ".json";
+      Status published = data::FileSource::WriteAtomic(published_path, json);
+      if (!published.ok()) {
+        std::fprintf(stderr, "bench: cannot write %s: %s\n",
+                     published_path.c_str(), published.ToString().c_str());
+        published_path.clear();
+      }
+    }
+  }
   std::printf("\n[%s finished in %.1f s]\n", manifest_.name().c_str(),
               seconds);
   if (!manifest_path.empty()) {
     std::printf("[manifest: %s]\n", manifest_path.c_str());
+  }
+  if (!published_path.empty()) {
+    std::printf("[published: %s]\n", published_path.c_str());
   }
   if (!trace_path.empty()) {
     std::printf("[trace: %s]\n", trace_path.c_str());

@@ -1,13 +1,15 @@
-// Shared helpers for the table/figure reproduction harnesses: dataset
-// selection flags, automatic scale capping, percentage formatting, and a
-// results cache so the figure benches can reuse the expensive matcher runs
-// of the table benches.
+// Shared helpers for the bench harnesses: dataset selection flags,
+// automatic scale capping, percentage formatting, a results cache so the
+// figure benches can reuse the expensive matcher runs of the table
+// benches, the repeated-timing helper, and the run manifest every bench
+// records its results in.
 #ifndef RLBENCH_BENCH_BENCH_UTIL_H_
 #define RLBENCH_BENCH_BENCH_UTIL_H_
 
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -49,6 +51,19 @@ void SaveScores(const std::string& name, const std::vector<CachedScore>& rows);
 /// Load a previously saved score file; nullopt when absent or malformed.
 std::optional<std::vector<CachedScore>> LoadScores(const std::string& name);
 
+// --- Timing -----------------------------------------------------------------
+
+/// Wall-clock timing over repeated runs: median and median absolute
+/// deviation (MAD), in seconds.
+struct Timing {
+  double median_s = 0.0;
+  double mad_s = 0.0;
+};
+
+/// Runs `fn` once untimed (warm-up), then `repeats` (>= 1) timed times,
+/// and returns the median and MAD of the timed runs.
+Timing Measure(int repeats, const std::function<void()>& fn);
+
 // --- Run bookkeeping --------------------------------------------------------
 
 /// One object per bench binary: owns the run manifest, names the main
@@ -74,11 +89,22 @@ class BenchRun {
 
   obs::RunManifest& manifest() { return manifest_; }
 
+  /// Records `timing` as the results `<key>_median_s` and `<key>_mad_s`.
+  void AddTiming(const std::string& key, const Timing& timing);
+
+  /// Marks this run as the bench's reference invocation (default sizes, no
+  /// --smoke). Finish() then also writes the finished manifest to
+  /// ResultsDir()/BENCH_<stem>.json, the committed evidence for the
+  /// bench's numbers; no other run writes there. A run with a failed
+  /// phase or an armed RLBENCH_FAULTS spec is not published.
+  void PublishAs(std::string stem) { publish_stem_ = std::move(stem); }
+
   /// Writes trace + manifest and prints the epilogue; idempotent.
   void Finish();
 
  private:
   obs::RunManifest manifest_;
+  std::string publish_stem_;
   bool finished_ = false;
 };
 

@@ -3,10 +3,11 @@
 // pipeline in each blocking mode and report throughput — records/sec into
 // the spill, candidate pairs/sec through the scoring kernels — plus peak
 // RSS, which stays bounded by the shard budget instead of the dataset
-// size. Results land in bench_results/BENCH_bulk.json; every shard also
-// writes its own run manifest (bench_results/macro_bulk_<mode>.shard_NN
-// .manifest.json) so a degraded shard is visible in the artefacts, not
-// just the exit code.
+// size. Results land in the run manifest (peak RSS in its
+// peak_rss_bytes), which the reference invocation (no flags) publishes as
+// bench_results/BENCH_bulk.json; every shard also writes its own run
+// manifest (bench_results/macro_bulk_<mode>.shard_NN.manifest.json) so a
+// degraded shard is visible in the artefacts, not just the exit code.
 //
 // Flags: --records (total across both sides, default 1000000)
 //        --mode    (sn | minhash | both, default both)
@@ -25,42 +26,11 @@
 #include "bulk/resolver.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "data/file_source.h"
 #include "datagen/bulk_source.h"
 #include "datagen/spec.h"
 #include "obs/resource.h"
 
 using namespace rlbench;
-
-namespace {
-
-struct ModeReport {
-  std::string mode;
-  double seconds = 0.0;
-  uint64_t candidates = 0;
-  uint64_t matched = 0;
-  uint64_t spilled_bytes = 0;
-  size_t shards_failed = 0;
-  size_t shards = 0;
-  bool ok = false;
-  std::string error;
-};
-
-std::string JsonNumber(const char* indent, const char* key, double value,
-                       bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s\"%s\": %.4f%s\n", indent, key, value,
-                comma ? "," : "");
-  return buf;
-}
-
-std::string JsonCount(const char* indent, const char* key, uint64_t value,
-                      bool comma = true) {
-  return std::string(indent) + "\"" + key + "\": " + std::to_string(value) +
-         (comma ? ",\n" : "\n");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -91,6 +61,7 @@ int main(int argc, char** argv) {
   uint64_t total_records = source.size(0) + source.size(1);
 
   benchutil::BenchRun run("macro_bulk");
+  if (argc == 1) run.PublishAs("bulk");
   run.manifest().set_seed(seed);
   run.manifest().AddDataset(spec.id);
   run.manifest().AddConfig("records", static_cast<int64_t>(total_records));
@@ -110,12 +81,9 @@ int main(int argc, char** argv) {
   RLBENCH_CHECK_MSG(!modes.empty(), "unknown --mode (use sn|minhash|both)");
 
   uint64_t bytes_streamed = 0;
-  std::vector<ModeReport> reports;
+  bool all_resolved = true;
   for (bulk::BulkMode mode : modes) {
-    ModeReport report;
-    report.mode = bulk::BulkModeName(mode);
-    report.shards = shards;
-
+    const std::string mode_name = bulk::BulkModeName(mode);
     bulk::BulkOptions options;
     options.mode = mode;
     options.shards = shards;
@@ -126,46 +94,50 @@ int main(int argc, char** argv) {
     options.spill_dir = flags.GetString(
         "spill_dir", "bulk_spill." + std::to_string(getpid()));
     options.manifest_dir = benchutil::ResultsDir();
-    options.manifest_stem = std::string("macro_bulk_") + report.mode;
-    options.output_path =
-        options.spill_dir + "/matches_" + report.mode + ".csv";
+    options.manifest_stem = "macro_bulk_" + mode_name;
+    options.output_path = options.spill_dir + "/matches_" + mode_name + ".csv";
 
-    run.manifest().BeginPhase(std::string("mode/") + report.mode);
+    run.manifest().BeginPhase("mode/" + mode_name);
     Stopwatch watch;
     auto resolved = bulk::BulkResolve(source, options);
-    report.seconds = watch.ElapsedSeconds();
-    if (resolved.ok()) {
-      const bulk::BulkResult& result = *resolved;
-      report.ok = true;
-      report.candidates = result.candidate_pairs;
-      report.spilled_bytes = result.spilled_bytes;
-      report.matched = result.matches.size();
-      report.shards_failed = result.shards_failed;
-      bytes_streamed = result.bytes_streamed;
-    } else {
-      report.error = resolved.status().ToString();
-      run.manifest().FailPhase(report.error);
-    }
+    const double seconds = watch.ElapsedSeconds();
+    if (!resolved.ok()) run.manifest().FailPhase(resolved.status().ToString());
     run.manifest().EndPhase();
 
     std::error_code ec;
     std::filesystem::remove_all(options.spill_dir, ec);
 
-    if (report.ok) {
-      std::printf(
-          "%-8s %9.2fs  %11.0f rec/s  %12.0f cand/s  "
-          "%llu candidates, %llu matched, %zu/%zu shards failed\n",
-          report.mode.c_str(), report.seconds,
-          static_cast<double>(total_records) / report.seconds,
-          static_cast<double>(report.candidates) / report.seconds,
-          static_cast<unsigned long long>(report.candidates),
-          static_cast<unsigned long long>(report.matched),
-          report.shards_failed, shards);
-    } else {
-      std::printf("%-8s FAILED: %s\n", report.mode.c_str(),
-                  report.error.c_str());
+    if (!resolved.ok()) {
+      all_resolved = false;
+      std::printf("%-8s FAILED: %s\n", mode_name.c_str(),
+                  resolved.status().ToString().c_str());
+      continue;
     }
-    reports.push_back(std::move(report));
+    const bulk::BulkResult& result = *resolved;
+    bytes_streamed = result.bytes_streamed;
+    const double records_per_sec =
+        static_cast<double>(total_records) / seconds;
+    const double candidates_per_sec =
+        static_cast<double>(result.candidate_pairs) / seconds;
+    std::printf(
+        "%-8s %9.2fs  %11.0f rec/s  %12.0f cand/s  "
+        "%llu candidates, %zu matched, %zu/%zu shards failed\n",
+        mode_name.c_str(), seconds, records_per_sec, candidates_per_sec,
+        static_cast<unsigned long long>(result.candidate_pairs),
+        result.matches.size(), result.shards_failed, shards);
+    obs::RunManifest& m = run.manifest();
+    m.AddResult(mode_name + "/seconds", seconds);
+    m.AddResult(mode_name + "/records_per_sec", records_per_sec);
+    m.AddResult(mode_name + "/candidates_per_sec", candidates_per_sec);
+    m.AddResult(mode_name + "/candidate_pairs",
+                static_cast<double>(result.candidate_pairs));
+    m.AddResult(mode_name + "/matched_pairs",
+                static_cast<double>(result.matches.size()));
+    m.AddResult(mode_name + "/spilled_bytes",
+                static_cast<double>(result.spilled_bytes));
+    m.AddResult(mode_name + "/shards_failed",
+                static_cast<double>(result.shards_failed));
+    if (result.shards_failed == shards) all_resolved = false;
   }
 
   int64_t peak_rss = obs::PeakRssBytes();
@@ -173,49 +145,8 @@ int main(int argc, char** argv) {
               static_cast<double>(peak_rss) / (1 << 20),
               static_cast<double>(bytes_streamed) / (1 << 20));
 
-  std::string json = "{\n  \"bench\": \"macro_bulk\",\n";
-  json += JsonCount("  ", "records", total_records);
-  json += JsonCount("  ", "shards", shards);
-  json += JsonCount("  ", "budget_mb", budget_mb);
-  json += JsonCount("  ", "bytes_streamed", bytes_streamed);
-  json += JsonCount("  ", "peak_rss_bytes",
-                    static_cast<uint64_t>(peak_rss < 0 ? 0 : peak_rss));
-  json += "  \"modes\": [\n";
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const ModeReport& r = reports[i];
-    json += "    {\n";
-    json += "      \"mode\": \"" + r.mode + "\",\n";
-    json += "      \"ok\": " + std::string(r.ok ? "true" : "false") + ",\n";
-    json += JsonNumber("      ", "seconds", r.seconds);
-    json += JsonNumber("      ", "records_per_sec",
-                       r.seconds > 0.0
-                           ? static_cast<double>(total_records) / r.seconds
-                           : 0.0);
-    json += JsonNumber("      ", "candidates_per_sec",
-                       r.seconds > 0.0
-                           ? static_cast<double>(r.candidates) / r.seconds
-                           : 0.0);
-    json += JsonCount("      ", "candidate_pairs", r.candidates);
-    json += JsonCount("      ", "matched_pairs", r.matched);
-    json += JsonCount("      ", "spilled_bytes", r.spilled_bytes);
-    json += JsonCount("      ", "shards_failed", r.shards_failed,
-                      /*comma=*/false);
-    json += i + 1 < reports.size() ? "    },\n" : "    }\n";
-  }
-  json += "  ]\n}\n";
-  std::string path = benchutil::ResultsDir() + "/BENCH_bulk.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
+  run.manifest().AddResult("bytes_streamed",
+                           static_cast<double>(bytes_streamed));
   run.Finish();
-
-  for (const ModeReport& report : reports) {
-    if (!report.ok || report.shards_failed == report.shards) return 1;
-  }
-  return 0;
+  return all_resolved ? 0 : 1;
 }

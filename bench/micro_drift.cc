@@ -13,11 +13,15 @@
 // snapshot round-trips bit-exactly, shadow-gate the candidate, and serve
 // until the ladder hot-swaps it in.
 //
-// Phases / measurements (bench_results/BENCH_drift.json):
+// Phases / measurements (the run manifest's results; the reference
+// invocation, no flags, publishes it as bench_results/BENCH_drift.json):
 //   baseline    — the same stream with drift disabled: scores + seconds.
 //   monitor     — drift enabled, no reaction: bit-identity of served
 //                 scores vs baseline, windows-to-trigger detection
-//                 latency, sampling overhead ratio.
+//                 latency, sampling overhead ratio (monitor median over
+//                 baseline median). Both phases build a fresh service per
+//                 run, so each is timed as the median and MAD of
+//                 kTimingRepeats runs after one warm-up.
 //   reaction    — drift enabled with the trigger consumed: retrain ->
 //                 shadow -> promote; swap-to-recovery in requests, and the
 //                 post-swap scores checked bit-identical to the candidate
@@ -41,11 +45,10 @@
 #include "bench_util.h"
 #include "common/blob.h"
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "data/columnar.h"
-#include "data/file_source.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
+#include "drift/controller.h"
 #include "fault/failpoint.h"
 #include "matchers/context.h"
 #include "matchers/registry.h"
@@ -56,6 +59,9 @@
 using namespace rlbench;
 
 namespace {
+
+// Timed runs of the baseline and monitor phases (each a few milliseconds).
+constexpr int kTimingRepeats = 21;
 
 /// Interleave the era's matches and non-matches evenly (Bresenham error
 /// accumulator) so every reservoir window sees both classes.
@@ -134,6 +140,7 @@ int main(int argc, char** argv) {
   }
 
   benchutil::BenchRun run("micro_drift");
+  if (argc == 1) run.PublishAs("drift");
   run.manifest().AddConfig("dataset", dataset);
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("matcher", matcher);
@@ -141,6 +148,7 @@ int main(int argc, char** argv) {
   run.manifest().AddConfig("drift_window_pairs",
                            static_cast<int64_t>(window));
   run.manifest().AddConfig("era_windows", static_cast<int64_t>(era_windows));
+  run.manifest().AddConfig("smoke", std::string(smoke ? "true" : "false"));
 
   run.manifest().BeginPhase("setup");
   auto task = datagen::BuildExistingBenchmark(*spec, scale);
@@ -192,8 +200,8 @@ int main(int argc, char** argv) {
   // baseline everything else is compared against.
   std::vector<double> baseline_scores;
   run.manifest().BeginPhase("baseline");
-  Stopwatch baseline_watch;
-  {
+  const benchutil::Timing baseline = benchutil::Measure(kTimingRepeats, [&] {
+    baseline_scores.clear();
     serve::MatchService service(&context);
     RLBENCH_CHECK(service.SwapModel(primary).ok());
     size_t cursor_a = 0;
@@ -202,8 +210,7 @@ int main(int argc, char** argv) {
                &baseline_scores);
     ServePairs(&service, era_b, &cursor_b, era_pairs, chunk,
                &baseline_scores);
-  }
-  double baseline_seconds = baseline_watch.ElapsedSeconds();
+  });
   run.manifest().EndPhase();
 
   // Phase 2: the same stream with the monitor on but no reaction —
@@ -212,8 +219,9 @@ int main(int argc, char** argv) {
   serve::DriftStatus trigger;
   bool triggered = false;
   run.manifest().BeginPhase("monitor");
-  Stopwatch monitor_watch;
-  {
+  const benchutil::Timing monitor = benchutil::Measure(kTimingRepeats, [&] {
+    monitored_scores.clear();
+    triggered = false;
     serve::MatchService service(&context, drift_options);
     RLBENCH_CHECK(service.SwapModel(primary).ok());
     size_t cursor_a = 0;
@@ -229,15 +237,15 @@ int main(int argc, char** argv) {
         triggered = true;
       }
     }
-  }
-  double monitor_seconds = monitor_watch.ElapsedSeconds();
+  });
   run.manifest().EndPhase();
   RLBENCH_CHECK_MSG(triggered, "drift: era B never triggered");
   RLBENCH_CHECK_MSG(monitored_scores == baseline_scores,
                     "drift monitoring changed served scores");
   const uint64_t windows_to_trigger = trigger.windows - era_windows;
-  const double overhead_ratio =
-      baseline_seconds > 0.0 ? monitor_seconds / baseline_seconds : 1.0;
+  const double overhead_ratio = baseline.median_s > 0.0
+                                    ? monitor.median_s / baseline.median_s
+                                    : 1.0;
 
   // Phase 3: the reaction. A fresh service replays the shift; this time
   // the trigger is consumed: retrain -> snapshot round-trip check ->
@@ -329,7 +337,6 @@ int main(int argc, char** argv) {
   // Phase 4 (--smoke): the fault storm gate. The next episode's shadow
   // window runs with candidate scoring faults armed; the ladder must
   // refuse to publish (rollback), leaving the promoted model serving.
-  bool storm_rolled_back = false;
   if (smoke) {
     run.manifest().BeginPhase("fault_storm");
     serve::DriftStatus storm_trigger;
@@ -351,10 +358,9 @@ int main(int argc, char** argv) {
     }
     fault::Clear();
     service.RearmDrift();
-    storm_rolled_back =
-        storm_outcome.kind == serve::ShadowEvent::Kind::kRolledBack;
-    RLBENCH_CHECK_MSG(storm_rolled_back,
-                      "faulted shadow window must roll back");
+    RLBENCH_CHECK_MSG(
+        storm_outcome.kind == serve::ShadowEvent::Kind::kRolledBack,
+        "faulted shadow window must roll back");
     // The incumbent (the previously promoted candidate) still serves.
     const size_t probe =
         std::min<size_t>(era_b.size(), 32) / chunk * chunk;
@@ -372,24 +378,33 @@ int main(int argc, char** argv) {
   }
 
   serve::DriftStatus final_status = service.DriftSnapshot();
-  run.manifest().AddConfig("drift_state", final_status.state);
-  run.manifest().AddConfig(
-      "drift_windows", static_cast<int64_t>(final_status.windows));
-  run.manifest().AddConfig(
-      "drift_transitions", static_cast<int64_t>(final_status.transitions));
-  run.manifest().AddConfig(
-      "drift_triggers", static_cast<int64_t>(final_status.triggers));
-  run.manifest().AddConfig("drift_windows_to_trigger",
-                           static_cast<int64_t>(windows_to_trigger));
-  run.manifest().AddConfig("drift_best_linear_f1",
-                           trigger.best_linear_f1);
-  run.manifest().AddConfig("drift_complexity_avg",
-                           trigger.complexity_avg);
-  run.manifest().AddConfig("drift_nlb", trigger.nlb);
-  run.manifest().AddConfig("drift_lbm", trigger.lbm);
-  run.manifest().AddConfig("drift_sampling_overhead_ratio", overhead_ratio);
-  run.manifest().AddConfig("drift_swap_recovery_requests",
-                           static_cast<int64_t>(recovery_pairs / chunk));
+  // Results hold numbers only, so the final state is its DriftState
+  // ordinal (0 stable, 1 watch, 2 triggered).
+  double state_ordinal = -1.0;
+  for (drift::DriftState state :
+       {drift::DriftState::kStable, drift::DriftState::kWatch,
+        drift::DriftState::kTriggered}) {
+    if (final_status.state == drift::DriftStateName(state)) {
+      state_ordinal = static_cast<double>(state);
+    }
+  }
+  obs::RunManifest& m = run.manifest();
+  m.AddResult("drift_state", state_ordinal);
+  m.AddResult("drift_windows", static_cast<double>(final_status.windows));
+  m.AddResult("drift_transitions",
+              static_cast<double>(final_status.transitions));
+  m.AddResult("drift_triggers", static_cast<double>(final_status.triggers));
+  m.AddResult("drift_windows_to_trigger",
+              static_cast<double>(windows_to_trigger));
+  m.AddResult("drift_best_linear_f1", trigger.best_linear_f1);
+  m.AddResult("drift_complexity_avg", trigger.complexity_avg);
+  m.AddResult("drift_nlb", trigger.nlb);
+  m.AddResult("drift_lbm", trigger.lbm);
+  m.AddResult("drift_sampling_overhead_ratio", overhead_ratio);
+  m.AddResult("drift_swap_recovery_requests",
+              static_cast<double>(recovery_pairs / chunk));
+  run.AddTiming("baseline", baseline);
+  run.AddTiming("monitor", monitor);
 
   std::printf("%s on %s (scale %.2f), window %zu pairs\n", matcher.c_str(),
               dataset.c_str(), scale, window);
@@ -397,49 +412,12 @@ int main(int argc, char** argv) {
               "(best linear F1 %.4f, complexity %.4f at trigger)\n",
               static_cast<unsigned long long>(windows_to_trigger),
               trigger.best_linear_f1, trigger.complexity_avg);
-  std::printf("overhead: %.3fx vs drift off (%.3fs vs %.3fs)\n",
-              overhead_ratio, monitor_seconds, baseline_seconds);
+  std::printf("overhead: %.3fx vs drift off (medians %.4fs vs %.4fs)\n",
+              overhead_ratio, monitor.median_s, baseline.median_s);
   std::printf("recover:  %s promoted after %zu requests%s\n",
               retrain.c_str(), recovery_pairs / chunk,
               smoke ? ", faulted episode rolled back" : "");
 
-  char buf[512];
-  std::string json = "{\n  \"bench\": \"drift\",\n";
-  json += "  \"dataset\": \"" + dataset + "\",\n";
-  json += "  \"matcher\": \"" + matcher + "\",\n";
-  json += "  \"retrain\": \"" + retrain + "\",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"scale\": %.3f,\n  \"window_pairs\": %zu,\n"
-                "  \"era_windows\": %zu,\n",
-                scale, window, era_windows);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"windows_to_trigger\": %llu,\n"
-                "  \"trigger_best_linear_f1\": %.6f,\n"
-                "  \"trigger_complexity_avg\": %.6f,\n"
-                "  \"trigger_nlb\": %.6f,\n  \"trigger_lbm\": %.6f,\n",
-                static_cast<unsigned long long>(windows_to_trigger),
-                trigger.best_linear_f1, trigger.complexity_avg, trigger.nlb,
-                trigger.lbm);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"sampling_overhead_ratio\": %.4f,\n"
-                "  \"baseline_seconds\": %.4f,\n"
-                "  \"monitor_seconds\": %.4f,\n"
-                "  \"swap_recovery_requests\": %zu,\n"
-                "  \"fault_storm_rolled_back\": %s\n}\n",
-                overhead_ratio, baseline_seconds, monitor_seconds,
-                recovery_pairs / chunk, storm_rolled_back ? "true" : "false");
-  json += buf;
-  std::string path = benchutil::ResultsDir() + "/BENCH_drift.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
   run.Finish();
   return 0;
 }

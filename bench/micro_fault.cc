@@ -2,10 +2,12 @@
 // when disabled" — one relaxed atomic load per evaluation. This harness
 // measures that cost directly (ns per disabled evaluation), the armed but
 // never-firing cost (probability 0), and the end-to-end import path with
-// the layer disabled, then records everything to
+// the layer disabled. Every timing is the median and MAD of --repeats runs
+// after one warm-up, recorded in the run manifest's results; the
+// reference invocation (no flags) publishes it as
 // bench_results/BENCH_fault.json for regression tracking.
 //
-// Flags: --evals (default 5000000), --repeats (default 5: best-of),
+// Flags: --evals (default 5000000), --repeats (default 5: timed runs),
 //        --scale (default 0.5, export/import workload size)
 #include <cstdio>
 #include <filesystem>
@@ -13,9 +15,7 @@
 
 #include "bench_util.h"
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "data/benchmark_io.h"
-#include "data/file_source.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "fault/failpoint.h"
@@ -23,19 +23,6 @@
 using namespace rlbench;
 
 namespace {
-
-// Best-of-`repeats` wall time of one closure.
-template <typename Fn>
-double BestOf(int repeats, const Fn& fn) {
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch watch;
-    fn();
-    double elapsed = watch.ElapsedSeconds();
-    if (r == 0 || elapsed < best) best = elapsed;
-  }
-  return best;
-}
 
 // One failpoint-evaluation loop; returns the hit count so the optimizer
 // cannot drop the evaluations.
@@ -56,6 +43,7 @@ int main(int argc, char** argv) {
   double scale = flags.GetDouble("scale", 0.5);
 
   benchutil::BenchRun run("micro_fault");
+  if (argc == 1) run.PublishAs("fault");
   run.manifest().AddConfig("evals", static_cast<int64_t>(evals));
   run.manifest().AddConfig("repeats", static_cast<int64_t>(repeats));
   run.manifest().AddConfig("scale", scale);
@@ -64,14 +52,16 @@ int main(int argc, char** argv) {
   fault::Clear();
   size_t sink = 0;
   run.manifest().BeginPhase("disabled_evals");
-  double disabled_seconds = BestOf(repeats, [&] { sink += EvalLoop(evals); });
+  benchutil::Timing disabled =
+      benchutil::Measure(repeats, [&] { sink += EvalLoop(evals); });
   run.manifest().EndPhase();
   RLBENCH_CHECK_MSG(sink == 0, "disabled failpoint produced hits");
 
   // 2. Armed at probability 0: full spec matching, decision drawn, no hit.
   RLBENCH_CHECK(fault::SetSpec("seed=1;bench/micro/probe=io:0").ok());
   run.manifest().BeginPhase("armed_zero_prob_evals");
-  double armed_seconds = BestOf(repeats, [&] { sink += EvalLoop(evals); });
+  benchutil::Timing armed =
+      benchutil::Measure(repeats, [&] { sink += EvalLoop(evals); });
   run.manifest().EndPhase();
   fault::Clear();
   RLBENCH_CHECK_MSG(sink == 0, "probability-0 failpoint produced hits");
@@ -83,13 +73,13 @@ int main(int argc, char** argv) {
       *datagen::FindExistingBenchmark("Ds5"), scale);
   std::string scratch = benchutil::ResultsDir() + "/micro_fault_scratch";
   run.manifest().BeginPhase("export");
-  double export_seconds = BestOf(repeats, [&] {
+  benchutil::Timing exported = benchutil::Measure(repeats, [&] {
     Status status = data::ExportBenchmark(task, scratch);
     RLBENCH_CHECK_MSG(status.ok(), "export failed");
   });
   run.manifest().EndPhase();
   run.manifest().BeginPhase("import");
-  double import_seconds = BestOf(repeats, [&] {
+  benchutil::Timing imported = benchutil::Measure(repeats, [&] {
     auto loaded = data::ImportBenchmark(scratch);
     RLBENCH_CHECK_MSG(loaded.ok(), "import failed");
   });
@@ -97,37 +87,22 @@ int main(int argc, char** argv) {
   std::error_code ec;
   std::filesystem::remove_all(scratch, ec);
 
-  double disabled_ns = disabled_seconds / static_cast<double>(evals) * 1e9;
-  double armed_ns = armed_seconds / static_cast<double>(evals) * 1e9;
-  std::printf("disabled failpoint: %.3f ns/eval\n", disabled_ns);
-  std::printf("armed (prob 0):     %.3f ns/eval\n", armed_ns);
+  const double ns_per_eval = 1e9 / static_cast<double>(evals);
+  std::printf("disabled failpoint: %.3f ns/eval\n",
+              disabled.median_s * ns_per_eval);
+  std::printf("armed (prob 0):     %.3f ns/eval\n",
+              armed.median_s * ns_per_eval);
   std::printf("export %.4fs, import %.4fs (scale %.2f, faults off)\n",
-              export_seconds, import_seconds, scale);
+              exported.median_s, imported.median_s, scale);
 
-  char buf[128];
-  std::string json = "{\n  \"bench\": \"fault_overhead\",\n";
-  std::snprintf(buf, sizeof(buf), "  \"evals\": %zu,\n  \"repeats\": %d,\n",
-                evals, repeats);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"disabled_ns_per_eval\": %.4f,\n"
-                "  \"armed_zero_prob_ns_per_eval\": %.4f,\n",
-                disabled_ns, armed_ns);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"export_seconds\": %.6f,\n  \"import_seconds\": %.6f,\n"
-                "  \"scale\": %.3f\n}\n",
-                export_seconds, import_seconds, scale);
-  json += buf;
-  std::string path = benchutil::ResultsDir() + "/BENCH_fault.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
+  run.AddTiming("disabled_evals", disabled);
+  run.AddTiming("armed_zero_prob_evals", armed);
+  run.manifest().AddResult("disabled_ns_per_eval",
+                           disabled.median_s * ns_per_eval);
+  run.manifest().AddResult("armed_zero_prob_ns_per_eval",
+                           armed.median_s * ns_per_eval);
+  run.AddTiming("export", exported);
+  run.AddTiming("import", imported);
   run.Finish();
   return 0;
 }

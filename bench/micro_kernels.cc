@@ -1,13 +1,14 @@
 // Microbenchmark of the vectorized kernels: every kernel is timed against
 // its scalar reference on real benchmark data, the two paths are checked
-// for bit-identical output while timing, and a run at the default flags
-// records the per-kernel before/after throughput in
-// bench_results/BENCH_kernels.json (runs at other flags, such as the
-// sanitizer smoke, only print). The acceptance bar (enforced by eye / CI
-// history, not by an assert — machines differ) is >= 2x on
-// jaccard_token_ids and mlp_batch_score.
+// for bit-identical output while timing, and the per-kernel timings
+// (median and MAD of --repeats runs after one warm-up) and speedups land
+// in the run manifest's results. The reference invocation (no flags)
+// publishes that manifest as bench_results/BENCH_kernels.json; runs at
+// other flags, such as the sanitizer smoke, do not. The acceptance bar
+// (enforced by eye / CI history, not by an assert — machines differ) is
+// >= 2x on jaccard_token_ids and mlp_batch_score.
 //
-// Flags: --scale (default 1.0), --repeats (default 5: best-of),
+// Flags: --scale (default 1.0), --repeats (default 5: timed runs),
 //        --dataset (default Ds5), --rounds (default 40: pair-set sweeps)
 #include <algorithm>
 #include <cstdio>
@@ -17,10 +18,8 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "data/columnar.h"
 #include "data/feature_cache.h"
-#include "data/file_source.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "matchers/features.h"
@@ -31,59 +30,17 @@
 
 using namespace rlbench;
 
-namespace {
-
-// Best-of-`repeats` wall time of one closure.
-template <typename Fn>
-double BestOf(int repeats, const Fn& fn) {
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch watch;
-    fn();
-    double elapsed = watch.ElapsedSeconds();
-    if (r == 0 || elapsed < best) best = elapsed;
-  }
-  return best;
-}
-
-struct KernelResult {
-  const char* name;
-  size_t ops = 0;          // pairs (or rows) processed per timed pass
-  double scalar_seconds = 0.0;
-  double vector_seconds = 0.0;
-};
-
-std::string KernelJson(const KernelResult& r, bool last) {
-  char buf[256];
-  double speedup =
-      r.vector_seconds > 0.0 ? r.scalar_seconds / r.vector_seconds : 0.0;
-  std::snprintf(buf, sizeof(buf),
-                "    {\"name\": \"%s\", \"ops\": %zu, "
-                "\"scalar_seconds\": %.6f, \"vectorized_seconds\": %.6f, "
-                "\"speedup\": %.3f}%s\n",
-                r.name, r.ops, r.scalar_seconds, r.vector_seconds, speedup,
-                last ? "" : ",");
-  return buf;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  constexpr double kDefaultScale = 1.0;
-  constexpr int kDefaultRepeats = 5;
-  constexpr int kDefaultRounds = 40;
-  const std::string kDefaultDataset = "Ds5";
   Flags flags(argc, argv);
-  double scale = flags.GetDouble("scale", kDefaultScale);
-  int repeats = static_cast<int>(flags.GetInt("repeats", kDefaultRepeats));
-  int rounds = static_cast<int>(flags.GetInt("rounds", kDefaultRounds));
-  std::string dataset = flags.GetString("dataset", kDefaultDataset);
-  // Only a full-size run is reference evidence; a smoke run must never
-  // overwrite the committed result file.
-  const bool record = scale == kDefaultScale && repeats == kDefaultRepeats &&
-                      rounds == kDefaultRounds && dataset == kDefaultDataset;
+  double scale = flags.GetDouble("scale", 1.0);
+  int repeats = static_cast<int>(flags.GetInt("repeats", 5));
+  int rounds = static_cast<int>(flags.GetInt("rounds", 40));
+  std::string dataset = flags.GetString("dataset", "Ds5");
 
   benchutil::BenchRun run("micro_kernels");
+  // Only a full-size run is reference evidence; a smoke run must never
+  // overwrite the committed result file.
+  if (argc == 1) run.PublishAs("kernels");
   run.manifest().AddDataset(dataset);
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("repeats", static_cast<int64_t>(repeats));
@@ -117,7 +74,22 @@ int main(int argc, char** argv) {
   }
   run.manifest().EndPhase();
 
-  std::vector<KernelResult> results;
+  run.manifest().AddResult("pairs", static_cast<double>(pairs.size()));
+  auto record = [&](const std::string& name, size_t kernel_ops,
+                    const benchutil::Timing& scalar,
+                    const benchutil::Timing& vectorized) {
+    double speedup = vectorized.median_s > 0.0
+                         ? scalar.median_s / vectorized.median_s
+                         : 0.0;
+    run.manifest().AddResult(name + "/ops", static_cast<double>(kernel_ops));
+    run.AddTiming(name + "/scalar", scalar);
+    run.AddTiming(name + "/vectorized", vectorized);
+    run.manifest().AddResult(name + "/speedup", speedup);
+    std::printf("%-20s scalar=%.4fs vectorized=%.4fs speedup=%.2fx "
+                "(medians of %d)\n",
+                name.c_str(), scalar.median_s, vectorized.median_s, speedup,
+                repeats);
+  };
   constexpr size_t kL = data::ColumnarStore::kLeft;
   constexpr size_t kR = data::ColumnarStore::kRight;
   namespace k = text::kernels;
@@ -127,9 +99,8 @@ int main(int argc, char** argv) {
   // sweeps must agree bit for bit.
   run.manifest().BeginPhase("kernels");
   {
-    KernelResult r{"jaccard_token_ids", ops};
     double scalar_sum = 0.0, vector_sum = 0.0;
-    r.scalar_seconds = BestOf(repeats, [&] {
+    benchutil::Timing scalar = benchutil::Measure(repeats, [&] {
       scalar_sum = 0.0;
       for (int round = 0; round < rounds; ++round) {
         for (const auto& p : pairs) {
@@ -143,7 +114,7 @@ int main(int argc, char** argv) {
     // one call per round.
     std::vector<k::U32SetPair> set_pairs(pairs.size());
     std::vector<double> jac(pairs.size());
-    r.vector_seconds = BestOf(repeats, [&] {
+    benchutil::Timing vectorized = benchutil::Measure(repeats, [&] {
       vector_sum = 0.0;
       for (size_t i = 0; i < pairs.size(); ++i) {
         auto a = store.TokenIdsAll(kL, pairs[i].left);
@@ -158,13 +129,12 @@ int main(int argc, char** argv) {
       }
     });
     RLBENCH_CHECK(scalar_sum == vector_sum);
-    results.push_back(r);
+    record("jaccard_token_ids", ops, scalar, vectorized);
   }
   {
     // The ESDE triple: three scalar merge scans vs one family scan.
-    KernelResult r{"esde_set_family", ops};
     double scalar_sum = 0.0, vector_sum = 0.0;
-    r.scalar_seconds = BestOf(repeats, [&] {
+    benchutil::Timing scalar = benchutil::Measure(repeats, [&] {
       scalar_sum = 0.0;
       for (int round = 0; round < rounds; ++round) {
         for (const auto& p : pairs) {
@@ -176,7 +146,7 @@ int main(int argc, char** argv) {
         }
       }
     });
-    r.vector_seconds = BestOf(repeats, [&] {
+    benchutil::Timing vectorized = benchutil::Measure(repeats, [&] {
       vector_sum = 0.0;
       for (int round = 0; round < rounds; ++round) {
         for (const auto& p : pairs) {
@@ -187,17 +157,16 @@ int main(int argc, char** argv) {
       }
     });
     RLBENCH_CHECK(scalar_sum == vector_sum);
-    results.push_back(r);
+    record("esde_set_family", ops, scalar, vectorized);
   }
   {
     // Edit-distance family over the first attribute, Magellan's truncation.
-    KernelResult r{"levenshtein_banded", ops};
     double scalar_sum = 0.0, vector_sum = 0.0;
     auto value = [&](size_t side, uint32_t record) {
       std::string_view v = store.Value(side, record, 0);
       return v.substr(0, std::min(v.size(), matchers::kMaxCharsForEditSims));
     };
-    r.scalar_seconds = BestOf(repeats, [&] {
+    benchutil::Timing scalar = benchutil::Measure(repeats, [&] {
       scalar_sum = 0.0;
       for (int round = 0; round < rounds; ++round) {
         for (const auto& p : pairs) {
@@ -206,7 +175,7 @@ int main(int argc, char** argv) {
         }
       }
     });
-    r.vector_seconds = BestOf(repeats, [&] {
+    benchutil::Timing vectorized = benchutil::Measure(repeats, [&] {
       vector_sum = 0.0;
       for (int round = 0; round < rounds; ++round) {
         for (const auto& p : pairs) {
@@ -216,16 +185,15 @@ int main(int argc, char** argv) {
       }
     });
     RLBENCH_CHECK(scalar_sum == vector_sum);
-    results.push_back(r);
+    record("levenshtein_banded", ops, scalar, vectorized);
   }
   {
-    KernelResult r{"jaro_winkler", ops};
     double scalar_sum = 0.0, vector_sum = 0.0;
     auto value = [&](size_t side, uint32_t record) {
       std::string_view v = store.Value(side, record, 0);
       return v.substr(0, std::min(v.size(), matchers::kMaxCharsForEditSims));
     };
-    r.scalar_seconds = BestOf(repeats, [&] {
+    benchutil::Timing scalar = benchutil::Measure(repeats, [&] {
       scalar_sum = 0.0;
       for (int round = 0; round < rounds; ++round) {
         for (const auto& p : pairs) {
@@ -234,7 +202,7 @@ int main(int argc, char** argv) {
         }
       }
     });
-    r.vector_seconds = BestOf(repeats, [&] {
+    benchutil::Timing vectorized = benchutil::Measure(repeats, [&] {
       vector_sum = 0.0;
       for (int round = 0; round < rounds; ++round) {
         for (const auto& p : pairs) {
@@ -244,7 +212,7 @@ int main(int argc, char** argv) {
       }
     });
     RLBENCH_CHECK(scalar_sum == vector_sum);
-    results.push_back(r);
+    record("jaro_winkler", ops, scalar, vectorized);
   }
   {
     // Batched MLP scoring vs the per-row loop, on a trained net.
@@ -266,52 +234,20 @@ int main(int argc, char** argv) {
     ml::Dataset valid = random_dataset(100);
     mlp.Fit(train, valid);
     ml::Dataset test = random_dataset(kRows);
-    KernelResult r{"mlp_batch_score", kRows};
     std::vector<double> scalar_scores(kRows), vector_scores(kRows);
-    r.scalar_seconds = BestOf(repeats, [&] {
+    benchutil::Timing scalar = benchutil::Measure(repeats, [&] {
       for (size_t i = 0; i < kRows; ++i) {
         scalar_scores[i] = mlp.PredictScore(test.row(i));
       }
     });
-    r.vector_seconds = BestOf(repeats, [&] {
+    benchutil::Timing vectorized = benchutil::Measure(repeats, [&] {
       mlp.PredictScoresBatch(test, vector_scores);
     });
     RLBENCH_CHECK(scalar_scores == vector_scores);
-    results.push_back(r);
+    record("mlp_batch_score", kRows, scalar, vectorized);
   }
   run.manifest().EndPhase();
 
-  std::string json = "{\n  \"bench\": \"kernels\",\n";
-  json += "  \"dataset\": \"" + spec->id + "\",\n";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "  \"scale\": %.3f,\n  \"pairs\": %zu,\n",
-                scale, pairs.size());
-  json += buf;
-  json += "  \"kernels\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    json += KernelJson(results[i], i + 1 == results.size());
-    double speedup = results[i].vector_seconds > 0.0
-                         ? results[i].scalar_seconds / results[i].vector_seconds
-                         : 0.0;
-    std::printf("%-20s scalar=%.4fs vectorized=%.4fs speedup=%.2fx\n",
-                results[i].name, results[i].scalar_seconds,
-                results[i].vector_seconds, speedup);
-  }
-  json += "  ]\n}\n";
-  if (!record) {
-    std::printf("non-default flags: BENCH_kernels.json not written\n");
-    run.Finish();
-    return 0;
-  }
-  std::string path = benchutil::ResultsDir() + "/BENCH_kernels.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
   run.Finish();
   return 0;
 }

@@ -2,22 +2,22 @@
 // two hottest call sites — the O(n^2) complexity measures and Magellan
 // batch feature extraction — at 1, 2, 4, and 8 threads, verifies the
 // results are bit-identical across the sweep, and records the trajectory
-// to bench_results/BENCH_parallel.json. Speedups are honest wall-clock
-// numbers; on a 1-core host they hover near 1.0 by construction (the
-// pool adds threads, the kernel has nowhere to run them).
+// (median and MAD per thread count, speedup of the medians vs 1 thread)
+// in the run manifest's results; the reference invocation (no flags)
+// publishes it as bench_results/BENCH_parallel.json. Speedups are honest
+// wall-clock numbers; on a 1-core host they hover near 1.0 by
+// construction (the pool adds threads, the kernel has nowhere to run
+// them).
 //
 // Flags: --scale (default 0.4), --sample (default 1500), --repeats
-//        (default 3: best-of), --dataset (default Ds1)
+//        (default 3: timed runs), --dataset (default Ds1)
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/stopwatch.h"
-#include "data/file_source.h"
 #include "core/complexity.h"
 #include "core/linearity.h"
 #include "datagen/catalog.h"
@@ -30,39 +30,6 @@ using namespace rlbench;
 namespace {
 
 constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
-
-// Best-of-`repeats` wall time of one closure.
-template <typename Fn>
-double BestOf(int repeats, const Fn& fn) {
-  double best = 0.0;
-  for (int r = 0; r < repeats; ++r) {
-    Stopwatch watch;
-    fn();
-    double elapsed = watch.ElapsedSeconds();
-    if (r == 0 || elapsed < best) best = elapsed;
-  }
-  return best;
-}
-
-std::string WorkloadJson(const char* name, const std::vector<double>& seconds,
-                         bool last) {
-  char buf[64];
-  std::string out = "    {\"name\": \"" + std::string(name) + "\", \"times\": [";
-  for (size_t i = 0; i < seconds.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s{\"threads\": %zu, \"seconds\": %.6f}",
-                  i == 0 ? "" : ", ", kThreadSweep[i], seconds[i]);
-    out += buf;
-  }
-  out += "], \"speedup_vs_1\": [";
-  for (size_t i = 0; i < seconds.size(); ++i) {
-    double speedup = seconds[i] > 0.0 ? seconds[0] / seconds[i] : 0.0;
-    std::snprintf(buf, sizeof(buf), "%s%.3f", i == 0 ? "" : ", ", speedup);
-    out += buf;
-  }
-  out += "]}";
-  out += last ? "\n" : ",\n";
-  return out;
-}
 
 }  // namespace
 
@@ -77,6 +44,7 @@ int main(int argc, char** argv) {
   // job and chunk counters next to the timings.
   obs::Metrics::SetEnabled(true);
   benchutil::BenchRun run("micro_parallel");
+  if (argc == 1) run.PublishAs("parallel");
   run.manifest().AddDataset(dataset);
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("sample", static_cast<int64_t>(sample));
@@ -102,15 +70,15 @@ int main(int argc, char** argv) {
   core::ComplexityOptions options;
   options.max_points = sample;
 
-  std::vector<double> complexity_seconds;
-  std::vector<double> feature_seconds;
+  std::vector<benchutil::Timing> complexity_timings;
+  std::vector<benchutil::Timing> feature_timings;
   double reference_average = 0.0;
   run.manifest().BeginPhase("sweep");
   for (size_t threads : kThreadSweep) {
     SetParallelThreads(threads);
 
     double average = 0.0;
-    complexity_seconds.push_back(BestOf(repeats, [&] {
+    complexity_timings.push_back(benchutil::Measure(repeats, [&] {
       average = core::ComputeComplexity(points, options).Average();
     }));
     // The determinism contract, spot-checked on real work: every thread
@@ -119,41 +87,33 @@ int main(int argc, char** argv) {
     RLBENCH_CHECK_MSG(average == reference_average,
                       "complexity average drifted across thread counts");
 
-    feature_seconds.push_back(BestOf(repeats, [&] {
+    feature_timings.push_back(benchutil::Measure(repeats, [&] {
       matchers::MatchingContext context(&task);
       context.MagellanTrain();  // forces the parallel batch extraction
     }));
 
-    std::printf("threads=%zu complexity=%.3fs features=%.3fs\n", threads,
-                complexity_seconds.back(), feature_seconds.back());
+    std::printf("threads=%zu complexity=%.3fs features=%.3fs (medians)\n",
+                threads, complexity_timings.back().median_s,
+                feature_timings.back().median_s);
   }
   run.manifest().EndPhase();
   SetParallelThreads(0);
 
-  std::string path = benchutil::ResultsDir() + "/BENCH_parallel.json";
-  char buf[256];
-  std::string json = "{\n";
-  json += "  \"bench\": \"parallel_scaling\",\n";
-  json += "  \"dataset\": \"" + spec->id + "\",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"scale\": %.3f,\n  \"sample\": %zu,\n"
-                "  \"labelled_pairs\": %zu,\n"
-                "  \"hardware_concurrency\": %zu,\n",
-                scale, sample, points.size(),
-                static_cast<size_t>(std::thread::hardware_concurrency()));
-  json += buf;
-  json += "  \"workloads\": [\n";
-  json += WorkloadJson("complexity_measures", complexity_seconds, false);
-  json += WorkloadJson("magellan_features", feature_seconds, true);
-  json += "  ]\n}\n";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
+  run.manifest().AddResult("labelled_pairs",
+                           static_cast<double>(points.size()));
+  auto record = [&run](const std::string& name,
+                       const std::vector<benchutil::Timing>& timings) {
+    for (size_t i = 0; i < timings.size(); ++i) {
+      const std::string key =
+          name + "/threads_" + std::to_string(kThreadSweep[i]);
+      const double median = timings[i].median_s;
+      run.AddTiming(key, timings[i]);
+      run.manifest().AddResult(
+          key + "_speedup", median > 0.0 ? timings[0].median_s / median : 0.0);
+    }
+  };
+  record("complexity_measures", complexity_timings);
+  record("magellan_features", feature_timings);
   run.Finish();
   return 0;
 }

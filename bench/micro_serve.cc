@@ -19,7 +19,9 @@
 //                 transition fired and that requests were degraded (the
 //                 CI overload gate).
 //
-// Results land in bench_results/BENCH_serve.json for regression tracking.
+// Every measured number lands in the run manifest's results; the
+// reference invocation (`micro_serve --storm`, nothing else) publishes it
+// as bench_results/BENCH_serve.json for regression tracking.
 //
 // Flags: --dataset (default Ds3), --scale (default 0.5),
 //        --matcher (default Magellan-RF), --requests (default 2000),
@@ -35,7 +37,6 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "data/file_source.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "matchers/context.h"
@@ -83,13 +84,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const bool storm = flags.GetBool("storm", false);
+  const bool smoke = flags.GetBool("smoke", false);
   benchutil::BenchRun run("micro_serve");
+  if (argc == 2 && storm) run.PublishAs("serve");
   run.manifest().AddConfig("dataset", dataset);
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("matcher", matcher);
   run.manifest().AddConfig("requests", static_cast<int64_t>(requests));
   run.manifest().AddConfig("pairs_per_request",
                            static_cast<int64_t>(pairs_per_request));
+  run.manifest().AddConfig("smoke", std::string(smoke ? "true" : "false"));
 
   // The serve histograms are the measurement instrument here, so the
   // metrics registry must be on regardless of RLBENCH_METRICS.
@@ -170,8 +175,6 @@ int main(int argc, char** argv) {
   // deterministically and walks the shed ladder: full -> degraded (linear
   // fallback) -> reject. A shadow window scores sampled full-tier traffic
   // against a candidate the whole time.
-  const bool storm = flags.GetBool("storm", false);
-  const bool smoke = flags.GetBool("smoke", false);
   double storm_p50 = 0.0, storm_p95 = 0.0, storm_p99 = 0.0;
   double storm_throughput = 0.0, shadow_agreement = 1.0;
   uint64_t storm_full = 0, storm_degraded = 0, storm_rejected = 0;
@@ -309,18 +312,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    run.manifest().AddConfig("storm_tier_full",
-                             static_cast<int64_t>(storm_full));
-    run.manifest().AddConfig("storm_tier_degraded",
-                             static_cast<int64_t>(storm_degraded));
-    run.manifest().AddConfig("storm_tier_rejected",
-                             static_cast<int64_t>(storm_rejected));
-    run.manifest().AddConfig("storm_shed_transitions",
-                             static_cast<int64_t>(storm_transitions));
-    run.manifest().AddConfig("storm_shadow_agreement", shadow_agreement);
-    run.manifest().AddConfig("storm_identity_checked",
-                             static_cast<int64_t>(identity_checked));
-
     if (smoke) {
       RLBENCH_CHECK_MSG(storm_transitions >= 1,
                         "storm smoke: no shed transition fired");
@@ -353,63 +344,29 @@ int main(int argc, char** argv) {
                 shadow_agreement, identity_checked);
   }
 
-  char buf[256];
-  std::string json = "{\n  \"bench\": \"serve\",\n";
-  json += "  \"dataset\": \"" + dataset + "\",\n";
-  json += "  \"matcher\": \"" + matcher + "\",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"scale\": %.3f,\n  \"requests\": %zu,\n"
-                "  \"pairs_per_request\": %zu,\n",
-                scale, requests, pairs_per_request);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"closed_loop_pairs_per_sec\": %.2f,\n"
-                "  \"latency_p50_ms\": %.6f,\n"
-                "  \"latency_p95_ms\": %.6f,\n"
-                "  \"latency_p99_ms\": %.6f,\n",
-                closed_throughput, p50, p95, p99);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"pipelined_pairs_per_sec\": %.2f,\n"
-                "  \"pipelined_batches\": %zu,\n"
-                "  \"mean_batch_pairs\": %.3f,\n"
-                "  \"admission_rejections\": %zu",
-                pipelined_throughput, batches, mean_batch_pairs, rejected);
-  json += buf;
+  obs::RunManifest& m = run.manifest();
+  m.AddResult("closed_loop_pairs_per_sec", closed_throughput);
+  m.AddResult("latency_p50_ms", p50);
+  m.AddResult("latency_p95_ms", p95);
+  m.AddResult("latency_p99_ms", p99);
+  m.AddResult("pipelined_pairs_per_sec", pipelined_throughput);
+  m.AddResult("pipelined_batches", static_cast<double>(batches));
+  m.AddResult("mean_batch_pairs", mean_batch_pairs);
+  m.AddResult("admission_rejections", static_cast<double>(rejected));
   if (storm) {
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  \"storm_pairs_per_sec\": %.2f,\n"
-                  "  \"storm_latency_p50_ms\": %.6f,\n"
-                  "  \"storm_latency_p95_ms\": %.6f,\n"
-                  "  \"storm_latency_p99_ms\": %.6f,\n",
-                  storm_throughput, storm_p50, storm_p95, storm_p99);
-    json += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"shed_tier_full\": %llu,\n"
-                  "  \"shed_tier_degraded\": %llu,\n"
-                  "  \"shed_tier_rejected\": %llu,\n"
-                  "  \"shed_transitions\": %llu,\n",
-                  static_cast<unsigned long long>(storm_full),
-                  static_cast<unsigned long long>(storm_degraded),
-                  static_cast<unsigned long long>(storm_rejected),
-                  static_cast<unsigned long long>(storm_transitions));
-    json += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"shadow_agreement_rate\": %.6f,\n"
-                  "  \"degraded_bit_identical\": %zu",
-                  shadow_agreement, identity_checked);
-    json += buf;
+    m.AddResult("storm_pairs_per_sec", storm_throughput);
+    m.AddResult("storm_latency_p50_ms", storm_p50);
+    m.AddResult("storm_latency_p95_ms", storm_p95);
+    m.AddResult("storm_latency_p99_ms", storm_p99);
+    m.AddResult("storm_tier_full", static_cast<double>(storm_full));
+    m.AddResult("storm_tier_degraded", static_cast<double>(storm_degraded));
+    m.AddResult("storm_tier_rejected", static_cast<double>(storm_rejected));
+    m.AddResult("storm_shed_transitions",
+                static_cast<double>(storm_transitions));
+    m.AddResult("storm_shadow_agreement", shadow_agreement);
+    m.AddResult("storm_identity_checked",
+                static_cast<double>(identity_checked));
   }
-  json += "\n}\n";
-  std::string path = benchutil::ResultsDir() + "/BENCH_serve.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
   run.Finish();
   return 0;
 }

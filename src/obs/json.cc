@@ -5,155 +5,6 @@
 #include <cstdlib>
 
 namespace rlbench::obs {
-namespace {
-
-// --- Syntax checker -------------------------------------------------------
-//
-// One cursor walked by mutually recursive Skip* functions. Every function
-// returns false on the first violation; depth is bounded so adversarially
-// nested input cannot blow the stack.
-
-constexpr int kMaxDepth = 64;
-
-struct Cursor {
-  std::string_view text;
-  size_t pos = 0;
-
-  bool AtEnd() const { return pos >= text.size(); }
-  char Peek() const { return text[pos]; }
-  bool Consume(char c) {
-    if (AtEnd() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  void SkipWhitespace() {
-    while (!AtEnd()) {
-      char c = text[pos];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos;
-    }
-  }
-};
-
-bool SkipValue(Cursor* cur, int depth);
-
-bool IsHexDigit(char c) {
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
-         (c >= 'A' && c <= 'F');
-}
-
-bool SkipString(Cursor* cur) {
-  if (!cur->Consume('"')) return false;
-  while (!cur->AtEnd()) {
-    char c = cur->text[cur->pos++];
-    if (c == '"') return true;
-    if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-    if (c != '\\') continue;
-    if (cur->AtEnd()) return false;
-    char esc = cur->text[cur->pos++];
-    switch (esc) {
-      case '"':
-      case '\\':
-      case '/':
-      case 'b':
-      case 'f':
-      case 'n':
-      case 'r':
-      case 't':
-        break;
-      case 'u':
-        for (int i = 0; i < 4; ++i) {
-          if (cur->AtEnd() || !IsHexDigit(cur->text[cur->pos])) return false;
-          ++cur->pos;
-        }
-        break;
-      default:
-        return false;
-    }
-  }
-  return false;  // unterminated
-}
-
-bool SkipDigits(Cursor* cur) {
-  size_t start = cur->pos;
-  while (!cur->AtEnd() && cur->Peek() >= '0' && cur->Peek() <= '9') ++cur->pos;
-  return cur->pos > start;
-}
-
-bool SkipNumber(Cursor* cur) {
-  cur->Consume('-');
-  if (cur->AtEnd()) return false;
-  if (cur->Peek() == '0') {
-    ++cur->pos;  // leading zero must stand alone
-  } else if (!SkipDigits(cur)) {
-    return false;
-  }
-  if (cur->Consume('.') && !SkipDigits(cur)) return false;
-  if (!cur->AtEnd() && (cur->Peek() == 'e' || cur->Peek() == 'E')) {
-    ++cur->pos;
-    if (!cur->AtEnd() && (cur->Peek() == '+' || cur->Peek() == '-')) ++cur->pos;
-    if (!SkipDigits(cur)) return false;
-  }
-  return true;
-}
-
-bool SkipLiteral(Cursor* cur, std::string_view word) {
-  if (cur->text.substr(cur->pos, word.size()) != word) return false;
-  cur->pos += word.size();
-  return true;
-}
-
-bool SkipObject(Cursor* cur, int depth) {
-  if (!cur->Consume('{')) return false;
-  cur->SkipWhitespace();
-  if (cur->Consume('}')) return true;
-  while (true) {
-    cur->SkipWhitespace();
-    if (!SkipString(cur)) return false;
-    cur->SkipWhitespace();
-    if (!cur->Consume(':')) return false;
-    if (!SkipValue(cur, depth)) return false;
-    cur->SkipWhitespace();
-    if (cur->Consume('}')) return true;
-    if (!cur->Consume(',')) return false;
-  }
-}
-
-bool SkipArray(Cursor* cur, int depth) {
-  if (!cur->Consume('[')) return false;
-  cur->SkipWhitespace();
-  if (cur->Consume(']')) return true;
-  while (true) {
-    if (!SkipValue(cur, depth)) return false;
-    cur->SkipWhitespace();
-    if (cur->Consume(']')) return true;
-    if (!cur->Consume(',')) return false;
-  }
-}
-
-bool SkipValue(Cursor* cur, int depth) {
-  if (depth > kMaxDepth) return false;
-  cur->SkipWhitespace();
-  if (cur->AtEnd()) return false;
-  switch (cur->Peek()) {
-    case '{':
-      return SkipObject(cur, depth + 1);
-    case '[':
-      return SkipArray(cur, depth + 1);
-    case '"':
-      return SkipString(cur);
-    case 't':
-      return SkipLiteral(cur, "true");
-    case 'f':
-      return SkipLiteral(cur, "false");
-    case 'n':
-      return SkipLiteral(cur, "null");
-    default:
-      return SkipNumber(cur);
-  }
-}
-
-}  // namespace
 
 std::string JsonEscape(std::string_view text) {
   std::string out;
@@ -209,13 +60,6 @@ std::string JsonNumber(double value) {
     if (std::strtod(shorter, nullptr) == value) return shorter;
   }
   return buf;
-}
-
-bool JsonSyntaxValid(std::string_view text) {
-  Cursor cur{text};
-  if (!SkipValue(&cur, 0)) return false;
-  cur.SkipWhitespace();
-  return cur.AtEnd();
 }
 
 }  // namespace rlbench::obs

@@ -1,11 +1,11 @@
-// Minimal JSON emission + syntax validation for the observability layer.
+// Minimal JSON emission for the observability layer.
 //
 // The obs subsystem writes two machine-readable artefacts — Chrome
 // trace-event files and per-bench run manifests — and both must be valid
 // JSON without pulling a parser dependency into the repo. This header
-// provides the three escaping/formatting helpers the writers share, plus
-// a strict syntax checker used by the tests (and by validate_manifest.py
-// on the Python side) to prove round-trip loadability.
+// provides the three escaping/formatting helpers the writers share. The
+// one JSON reader is serve::ParseJson (serve/wire.h); the tests parse
+// every emitted document back through it.
 #ifndef RLBENCH_SRC_OBS_JSON_H_
 #define RLBENCH_SRC_OBS_JSON_H_
 
@@ -29,14 +29,6 @@ std::string JsonString(std::string_view text);
 /// bit-exactly by strtod); NaN and infinities — which JSON cannot
 /// represent — become `null`.
 std::string JsonNumber(double value);
-
-/// \brief True iff `text` is one syntactically complete JSON value.
-///
-/// A recursive-descent checker: objects, arrays, strings (with escape
-/// validation), numbers, true/false/null, arbitrary whitespace. It does
-/// not build a DOM and enforces no semantic schema — callers layer their
-/// own key checks on top.
-bool JsonSyntaxValid(std::string_view text);
 
 }  // namespace rlbench::obs
 

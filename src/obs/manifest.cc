@@ -72,6 +72,10 @@ void RunManifest::AddConfig(const std::string& key, int64_t value) {
   config_.emplace_back(key, std::to_string(value));
 }
 
+void RunManifest::AddResult(const std::string& key, double value) {
+  results_.emplace_back(key, value);
+}
+
 void RunManifest::BeginPhase(const std::string& phase_name) {
   phases_.push_back(Phase{phase_name, 0.0, true, false, ""});
   phase_stack_.push_back(phases_.size() - 1);
@@ -127,7 +131,7 @@ void RunManifest::Finalize() {
 
 std::string RunManifest::ToJson() const {
   std::string out = "{\n";
-  out += "  \"schema_version\": 2,\n";
+  out += "  \"schema_version\": 3,\n";
   out += "  \"bench\": " + JsonString(name_) + ",\n";
   out += "  \"git\": " + JsonString(GitDescribe()) + ",\n";
   out += "  \"threads\": " + std::to_string(threads_) + ",\n";
@@ -149,6 +153,15 @@ std::string RunManifest::ToJson() const {
     out += JsonString(config_[i].first) + ": " + config_[i].second;
   }
   out += "},\n";
+  if (!results_.empty()) {
+    out += "  \"results\": {";
+    for (size_t i = 0; i < results_.size(); ++i) {
+      if (i > 0) out += ",";
+      out += "\n    " + JsonString(results_[i].first) + ": " +
+             JsonNumber(results_[i].second);
+    }
+    out += "\n  },\n";
+  }
   out += "  \"phases\": [";
   for (size_t i = 0; i < phases_.size(); ++i) {
     if (i > 0) out += ", ";

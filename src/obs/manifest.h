@@ -1,16 +1,18 @@
 // Machine-readable run manifests for the bench harnesses.
 //
 // Every bench binary records what it ran (git revision, seed, thread
-// count, dataset ids, flag values), how long each phase took, and — when
-// RLBENCH_METRICS is on — a snapshot of every registered counter, gauge,
-// and histogram. The result is written beside the printed table as
-// `bench_results/<name>.manifest.json` so downstream tooling
+// count, dataset ids, flag values), what it measured, how long each phase
+// took, and — when RLBENCH_METRICS is on — a snapshot of every registered
+// counter, gauge, and histogram. The result is written beside the printed
+// table as `bench_results/<name>.manifest.json` so downstream tooling
 // (tools/validate_manifest.py, plotting scripts, CI) can consume runs
-// without scraping stdout.
+// without scraping stdout. A bench's reference invocation also publishes
+// the same manifest as `bench_results/BENCH_<x>.json`, the committed
+// evidence behind its numbers.
 //
-// Manifest schema (schema_version 2):
+// Manifest schema (schema_version 3):
 //   {
-//     "schema_version": 2,
+//     "schema_version": 3,
 //     "bench": "<name>",
 //     "git": "<git describe --always --dirty, or 'unknown'>",
 //     "threads": N, "hardware_concurrency": N,
@@ -18,6 +20,7 @@
 //     "seed": N,                     // only when set
 //     "datasets": ["Ds1", ...],
 //     "config": {"flag": "value", ...},
+//     "results": {"name": N, ...},   // only when the bench recorded any
 //     "phases": [{"name": "...", "seconds": S,
 //                 "status": "ok" | "failed",
 //                 "error": "..."},   // only when failed
@@ -32,7 +35,9 @@
 //
 // schema_version 2 added the per-phase "status"/"error" fields, which let
 // a bench record a failed dataset (graceful degradation) while the rest of
-// the run continues.
+// the run continues. schema_version 3 added "results": `config` holds the
+// run's inputs only, and every number the run measured lives in one flat
+// object of named numbers.
 #ifndef RLBENCH_SRC_OBS_MANIFEST_H_
 #define RLBENCH_SRC_OBS_MANIFEST_H_
 
@@ -72,6 +77,12 @@ class RunManifest {
   void AddConfig(const std::string& key, const std::string& value);
   void AddConfig(const std::string& key, double value);
   void AddConfig(const std::string& key, int64_t value);
+
+  /// Records one measured number under `results`. Keys are flat names
+  /// (e.g. "jaccard_token_ids/scalar_median_s"); a non-finite value
+  /// serialises as null, which tools/validate_manifest.py rejects in a
+  /// published BENCH file.
+  void AddResult(const std::string& key, double value);
 
   /// Phases nest (stack discipline); serialised in begin order. Each open
   /// phase also holds a matching trace span, so manifests and traces tell
@@ -124,6 +135,7 @@ class RunManifest {
   std::string trace_file_;
   std::vector<std::string> datasets_;
   std::vector<std::pair<std::string, std::string>> config_;  // pre-serialised
+  std::vector<std::pair<std::string, double>> results_;
   std::vector<Phase> phases_;
   std::vector<size_t> phase_stack_;  // indices into phases_
   std::vector<std::chrono::steady_clock::time_point> phase_starts_;

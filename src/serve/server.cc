@@ -172,35 +172,21 @@ void MatchServer::AbsorbDriftTrigger() {
   drift_candidate_active_ = true;
 }
 
-std::string MatchServer::HandleRequest(const std::string& payload) {
-  ++requests_served_;
-  auto parsed = ParseJson(payload);
-  if (!parsed.ok()) return ErrorResponse(parsed.status());
-  const JsonValue& request = *parsed;
-  const std::string op = request.GetString("op");
-
-  if (op == "match_pair" || op == "match_batch") {
-    auto pairs = ParsePairs(request);
-    if (!pairs.ok()) return ErrorResponse(pairs.status());
-    const bool single = op == "match_pair";
-    SubmitOptions submit;
-    submit.tenant = request.GetString("tenant");
-    submit.deadline_ms = request.GetNumber(
-        "deadline_ms", service_.options().default_deadline_ms);
-    std::string response;
-    auto submitted = service_.SubmitRequest(
-        std::move(*pairs), submit,
-        [single, &response](const RequestOutcome& outcome) {
-          response = MatchResponse(single, outcome);
-        });
-    if (!submitted.ok()) {
-      return ErrorResponse(submitted.status(), service_.LastRetryAfterMs());
-    }
-    service_.Drain();
-    AbsorbShadowEvent();
-    AbsorbDriftTrigger();
-    return response;
+Result<Snapshot> MatchServer::LoadRequestedSnapshot(
+    const JsonValue& request) const {
+  if (!repository_.has_value()) {
+    return Status::FailedPrecondition("serve: no model repository configured");
   }
+  RLBENCH_ASSIGN_OR_RETURN(std::string matcher,
+                           request.RequireString("matcher"));
+  double version = request.GetNumber("version", 0.0);
+  return version > 0.0
+             ? repository_->Load(matcher, static_cast<uint64_t>(version))
+             : repository_->LoadCurrent(matcher);
+}
+
+std::string MatchServer::HandleRequest(const JsonValue& request) {
+  const std::string op = request.GetString("op");
 
   if (op == "ping") {
     std::string out = "{\"ok\":true,\"dataset\":" +
@@ -268,17 +254,7 @@ std::string MatchServer::HandleRequest(const std::string& payload) {
   }
 
   if (op == "reload") {
-    if (!repository_.has_value()) {
-      return ErrorResponse(Status::FailedPrecondition(
-          "serve: no model repository configured"));
-    }
-    auto matcher = request.RequireString("matcher");
-    if (!matcher.ok()) return ErrorResponse(matcher.status());
-    double version = request.GetNumber("version", 0.0);
-    auto snapshot = version > 0.0
-                        ? repository_->Load(*matcher,
-                                            static_cast<uint64_t>(version))
-                        : repository_->LoadCurrent(*matcher);
+    auto snapshot = LoadRequestedSnapshot(request);
     if (!snapshot.ok()) return ErrorResponse(snapshot.status());
     Status installed = service_.InstallSnapshot(*snapshot);
     if (!installed.ok()) return ErrorResponse(installed);
@@ -289,17 +265,7 @@ std::string MatchServer::HandleRequest(const std::string& payload) {
   }
 
   if (op == "shadow_start") {
-    if (!repository_.has_value()) {
-      return ErrorResponse(Status::FailedPrecondition(
-          "serve: no model repository configured"));
-    }
-    auto matcher = request.RequireString("matcher");
-    if (!matcher.ok()) return ErrorResponse(matcher.status());
-    double version = request.GetNumber("version", 0.0);
-    auto snapshot = version > 0.0
-                        ? repository_->Load(*matcher,
-                                            static_cast<uint64_t>(version))
-                        : repository_->LoadCurrent(*matcher);
+    auto snapshot = LoadRequestedSnapshot(request);
     if (!snapshot.ok()) return ErrorResponse(snapshot.status());
     ShadowOptions shadow;
     shadow.sample_fraction =
@@ -373,10 +339,10 @@ void MatchServer::OnFrame(uint64_t conn_id, std::string payload) {
     slot->ready = true;
     return;
   }
+  ++requests_served_;
   auto parsed = ParseJson(payload);
   const std::string op = parsed.ok() ? parsed->GetString("op") : std::string();
-  if (parsed.ok() && (op == "match_pair" || op == "match_batch")) {
-    ++requests_served_;
+  if (op == "match_pair" || op == "match_batch") {
     auto pairs = ParsePairs(*parsed);
     if (!pairs.ok()) {
       slot->response = ErrorResponse(pairs.status());
@@ -409,7 +375,8 @@ void MatchServer::OnFrame(uint64_t conn_id, std::string payload) {
   service_.Drain();
   AbsorbShadowEvent();
   AbsorbDriftTrigger();
-  slot->response = HandleRequest(payload);
+  slot->response =
+      parsed.ok() ? HandleRequest(*parsed) : ErrorResponse(parsed.status());
   slot->ready = true;
 }
 

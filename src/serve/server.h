@@ -45,6 +45,7 @@
 #include "serve/model_repository.h"
 #include "serve/net.h"
 #include "serve/service.h"
+#include "serve/wire.h"
 
 namespace rlbench::serve {
 
@@ -93,11 +94,6 @@ class MatchServer {
   /// admitted request answered, every response byte flushed.
   [[nodiscard]] Status Serve();
 
-  /// Dispatch one request payload to a response payload (also the
-  /// in-process test seam — no sockets involved). Match ops are submitted,
-  /// drained and answered synchronously.
-  std::string HandleRequest(const std::string& payload);
-
  private:
   /// One frame's pending response. Callbacks hold the slot alive even if
   /// the connection is evicted before the service answers.
@@ -108,6 +104,16 @@ class MatchServer {
 
   /// Frame sink of the event loop: parse, submit or answer, queue a slot.
   void OnFrame(uint64_t conn_id, std::string payload);
+
+  /// Answer one parsed request that is not a match op (OnFrame submits
+  /// those to the micro-batcher itself).
+  std::string HandleRequest(const JsonValue& request);
+
+  /// The snapshot a reload or shadow_start request names: its "matcher" at
+  /// "version" when that is > 0, else the matcher's CURRENT version.
+  /// FailedPrecondition when no repository is configured.
+  [[nodiscard]] Result<Snapshot> LoadRequestedSnapshot(
+      const JsonValue& request) const;
 
   /// Emit every leading ready slot of every connection, in request order.
   void FlushReadySlots();

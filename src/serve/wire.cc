@@ -133,8 +133,8 @@ JsonValue JsonValue::Object(
 namespace {
 
 // Recursive-descent parser over untrusted bytes: bounded nesting, strict
-// grammar, no exceptions. Mirrors the grammar obs::JsonSyntaxValid accepts
-// so anything the obs emitters write parses back.
+// grammar, no exceptions. It is the repo's one JSON reader: the obs tests
+// parse every trace and manifest the obs emitters write back through it.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}

@@ -137,61 +137,8 @@ double MongeElkanSimilarity(const std::vector<std::string>& tokens_a,
   return 0.5 * (directed(tokens_a, tokens_b) + directed(tokens_b, tokens_a));
 }
 
-double PrefixSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  size_t limit = std::min(a.size(), b.size());
-  size_t prefix = 0;
-  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return static_cast<double>(prefix) / static_cast<double>(limit);
-}
-
 double ExactMatchSimilarity(std::string_view a, std::string_view b) {
   return ToLowerAscii(a) == ToLowerAscii(b) ? 1.0 : 0.0;
-}
-
-double NeedlemanWunschSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  constexpr double kMatch = 1.0;
-  constexpr double kMismatch = -1.0;
-  constexpr double kGap = -0.5;
-  std::vector<double> prev(a.size() + 1);
-  std::vector<double> curr(a.size() + 1);
-  for (size_t i = 0; i <= a.size(); ++i) prev[i] = kGap * i;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    curr[0] = kGap * j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      double diag = prev[i - 1] + (a[i - 1] == b[j - 1] ? kMatch : kMismatch);
-      curr[i] = std::max({diag, prev[i] + kGap, curr[i - 1] + kGap});
-    }
-    std::swap(prev, curr);
-  }
-  double longest = static_cast<double>(std::max(a.size(), b.size()));
-  // Scores lie in [kGap*(|a|+|b|), kMatch*min] — clamp the normalisation.
-  return std::clamp(prev[a.size()] / longest, 0.0, 1.0);
-}
-
-double SmithWatermanSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  constexpr double kMatch = 1.0;
-  constexpr double kMismatch = -1.0;
-  constexpr double kGap = -0.5;
-  std::vector<double> prev(a.size() + 1, 0.0);
-  std::vector<double> curr(a.size() + 1, 0.0);
-  double best = 0.0;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    curr[0] = 0.0;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      double diag = prev[i - 1] + (a[i - 1] == b[j - 1] ? kMatch : kMismatch);
-      curr[i] = std::max({0.0, diag, prev[i] + kGap, curr[i - 1] + kGap});
-      best = std::max(best, curr[i]);
-    }
-    std::swap(prev, curr);
-  }
-  double shortest = static_cast<double>(std::min(a.size(), b.size()));
-  return std::clamp(best / shortest, 0.0, 1.0);
 }
 
 double NumericSimilarity(std::string_view a, std::string_view b) {

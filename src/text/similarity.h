@@ -49,25 +49,12 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b);
 double MongeElkanSimilarity(const std::vector<std::string>& tokens_a,
                             const std::vector<std::string>& tokens_b);
 
-/// Length of the common prefix divided by the shorter length.
-double PrefixSimilarity(std::string_view a, std::string_view b);
-
 /// Exact-match indicator after lower-casing: 1.0 or 0.0.
 double ExactMatchSimilarity(std::string_view a, std::string_view b);
 
 /// Similarity of two numeric strings: 1 - |x-y| / max(|x|,|y|); returns 0
 /// when either string does not parse as a number, 1 when both are equal.
 double NumericSimilarity(std::string_view a, std::string_view b);
-
-// --- Alignment-based string similarities ---------------------------------
-
-/// Needleman-Wunsch global alignment similarity: match +1, mismatch -1,
-/// gap -0.5; normalised to [0, 1] by the longer length.
-double NeedlemanWunschSimilarity(std::string_view a, std::string_view b);
-
-/// Smith-Waterman local alignment similarity: best local alignment score
-/// (match +1, mismatch -1, gap -0.5) normalised by the shorter length.
-double SmithWatermanSimilarity(std::string_view a, std::string_view b);
 
 }  // namespace rlbench::text
 

@@ -1,14 +1,16 @@
-// Tests for the minimal JSON helpers: escaping, shortest round-trip
-// number formatting, and the syntax validator used by the trace/manifest
-// round-trip tests.
+// Tests for the minimal JSON helpers (escaping, shortest round-trip
+// number formatting) and for the grammar of serve::ParseJson, the reader
+// the trace/manifest round-trip tests parse emitted documents with.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "obs/json.h"
+#include "serve/wire.h"
 
 namespace rlbench::obs {
 namespace {
@@ -32,34 +34,36 @@ TEST(JsonTest, NumbersRoundTripExactly) {
   EXPECT_EQ(JsonNumber(std::numeric_limits<double>::infinity()), "null");
 }
 
-TEST(JsonTest, ValidatorAcceptsWellFormedDocuments) {
-  EXPECT_TRUE(JsonSyntaxValid("{}"));
-  EXPECT_TRUE(JsonSyntaxValid("[]"));
-  EXPECT_TRUE(JsonSyntaxValid("  {\"a\": [1, 2.5, -3e4], \"b\": "
-                              "{\"c\": null, \"d\": [true, false]}}  "));
-  EXPECT_TRUE(JsonSyntaxValid("\"escaped \\u00e9 \\n ok\""));
+bool Parses(std::string_view text) { return serve::ParseJson(text).ok(); }
+
+TEST(JsonTest, ParserAcceptsWellFormedDocuments) {
+  EXPECT_TRUE(Parses("{}"));
+  EXPECT_TRUE(Parses("[]"));
+  EXPECT_TRUE(Parses("  {\"a\": [1, 2.5, -3e4], \"b\": "
+                     "{\"c\": null, \"d\": [true, false]}}  "));
+  EXPECT_TRUE(Parses("\"escaped \\u00e9 \\n ok\""));
 }
 
-TEST(JsonTest, ValidatorRejectsMalformedDocuments) {
-  EXPECT_FALSE(JsonSyntaxValid(""));
-  EXPECT_FALSE(JsonSyntaxValid("{"));
-  EXPECT_FALSE(JsonSyntaxValid("{\"a\": }"));
-  EXPECT_FALSE(JsonSyntaxValid("{\"a\": 1,}"));
-  EXPECT_FALSE(JsonSyntaxValid("[1 2]"));
-  EXPECT_FALSE(JsonSyntaxValid("\"unterminated"));
-  EXPECT_FALSE(JsonSyntaxValid("\"bad escape \\q\""));
-  EXPECT_FALSE(JsonSyntaxValid("01"));
-  EXPECT_FALSE(JsonSyntaxValid("{} trailing"));
-  EXPECT_FALSE(JsonSyntaxValid("nul"));
+TEST(JsonTest, ParserRejectsMalformedDocuments) {
+  EXPECT_FALSE(Parses(""));
+  EXPECT_FALSE(Parses("{"));
+  EXPECT_FALSE(Parses("{\"a\": }"));
+  EXPECT_FALSE(Parses("{\"a\": 1,}"));
+  EXPECT_FALSE(Parses("[1 2]"));
+  EXPECT_FALSE(Parses("\"unterminated"));
+  EXPECT_FALSE(Parses("\"bad escape \\q\""));
+  EXPECT_FALSE(Parses("01"));
+  EXPECT_FALSE(Parses("{} trailing"));
+  EXPECT_FALSE(Parses("nul"));
 }
 
-TEST(JsonTest, ValidatorBoundsRecursionDepth) {
+TEST(JsonTest, ParserBoundsRecursionDepth) {
   std::string deep(200, '[');
   deep += std::string(200, ']');
-  EXPECT_FALSE(JsonSyntaxValid(deep));  // past kMaxDepth
+  EXPECT_FALSE(Parses(deep));  // past the nesting cap
   std::string shallow(20, '[');
   shallow += std::string(20, ']');
-  EXPECT_TRUE(JsonSyntaxValid(shallow));
+  EXPECT_TRUE(Parses(shallow));
 }
 
 }  // namespace

@@ -114,14 +114,6 @@ TEST(MongeElkanTest, EmptyCases) {
   EXPECT_DOUBLE_EQ(MongeElkanSimilarity({"a"}, {}), 0.0);
 }
 
-TEST(PrefixSimilarityTest, Values) {
-  EXPECT_DOUBLE_EQ(PrefixSimilarity("abcd", "abxy"), 0.5);
-  EXPECT_DOUBLE_EQ(PrefixSimilarity("abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(PrefixSimilarity("abc", "xbc"), 0.0);
-  EXPECT_DOUBLE_EQ(PrefixSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(PrefixSimilarity("a", ""), 0.0);
-}
-
 TEST(ExactMatchTest, CaseInsensitive) {
   EXPECT_DOUBLE_EQ(ExactMatchSimilarity("ABC", "abc"), 1.0);
   EXPECT_DOUBLE_EQ(ExactMatchSimilarity("abc", "abd"), 0.0);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 namespace rlbench::text {
 namespace {
@@ -61,6 +63,53 @@ TEST(SummarizeTest, ExactBudget) {
   std::vector<std::string> tokens(20, "word");
   auto kept = model.Summarize(tokens, 5);
   EXPECT_EQ(kept.size(), 5u);
+}
+
+class WeightedSimTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    model_.AddDocument({"apple", "iphone", "case"});
+    model_.AddDocument({"apple", "macbook", "pro"});
+    model_.AddDocument({"samsung", "galaxy", "case"});
+    model_.AddDocument({"rare", "token"});
+    model_.Finalize();
+  }
+  TfIdfModel model_;
+};
+
+TEST_F(WeightedSimTest, IdenticalIsOne) {
+  std::vector<std::string> tokens = {"apple", "iphone"};
+  EXPECT_NEAR(model_.WeightedCosine(tokens, tokens), 1.0, 1e-9);
+}
+
+TEST_F(WeightedSimTest, RareSharedTokenOutweighsCommonOne) {
+  // Sharing the rare "rare" must score higher than sharing the common
+  // "apple" (same-length token lists).
+  double rare = model_.WeightedCosine({"rare", "iphone"}, {"rare", "galaxy"});
+  double common = model_.WeightedCosine({"apple", "iphone"},
+                                        {"apple", "galaxy"});
+  EXPECT_GT(rare, common);
+}
+
+TEST_F(WeightedSimTest, DisjointIsZero) {
+  EXPECT_DOUBLE_EQ(model_.WeightedCosine({"apple"}, {"galaxy"}), 0.0);
+  EXPECT_DOUBLE_EQ(model_.WeightedCosine({}, {"x"}), 0.0);
+}
+
+TEST_F(WeightedSimTest, SoftTfIdfMatchesTypos) {
+  // "iphonee" has no exact counterpart but Jaro-Winkler-matches "iphone",
+  // so the soft variant scores higher than the exact-token cosine.
+  double hard = model_.WeightedCosine({"apple", "iphonee"},
+                                      {"apple", "iphone"});
+  double soft = model_.SoftTfIdf({"apple", "iphonee"}, {"apple", "iphone"});
+  EXPECT_GT(soft, hard);
+  EXPECT_LE(soft, 1.0);
+}
+
+TEST_F(WeightedSimTest, SoftTfIdfThresholdGates) {
+  // Below the JW threshold the soft match must not fire.
+  double strict = model_.SoftTfIdf({"zebra"}, {"iphone"}, 0.95);
+  EXPECT_DOUBLE_EQ(strict, 0.0);
 }
 
 }  // namespace

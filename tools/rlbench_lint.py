@@ -110,10 +110,13 @@ class Rule:
         self.headers_only = headers_only
 
 
-def _pattern_check(allowlist, allowed_prefixes, patterns):
-    """Line-scanning checker: flag `patterns` outside the allowlist."""
+def _pattern_check(allowlist, allowed_prefixes, patterns, scope=""):
+    """Confinement checker: flag `patterns` in files under `scope` (the
+    whole tree by default) outside the allowlisted files and prefixes."""
 
     def check(rel, lines, errors):
+        if not rel.startswith(scope):
+            return
         if rel in allowlist or rel.startswith(allowed_prefixes):
             return
         for i, line in enumerate(lines):
@@ -419,18 +422,6 @@ BLOCKNET_PATTERNS = [
 ]
 
 
-def check_blocknet(rel, lines, errors):
-    if not rel.startswith(BLOCKNET_PREFIX):
-        return
-    if rel.startswith(BLOCKNET_ALLOWED_PREFIXES):
-        return
-    for i, line in enumerate(lines):
-        code = LINE_COMMENT.sub("", line)
-        for pattern, message in BLOCKNET_PATTERNS:
-            if pattern.search(code):
-                errors.append(f"{rel}:{i + 1}: {message}")
-
-
 BLOCKNET_FIXTURES = [
     Fixture("src/serve/server.cc",
             "auto socket = Accept(listener_);\n", bad=True),
@@ -587,16 +578,6 @@ BULK_PATTERNS = [
 ]
 
 
-def check_bulk(rel, lines, errors):
-    if not rel.startswith(BULK_PREFIX):
-        return
-    for i, line in enumerate(lines):
-        code = LINE_COMMENT.sub("", line)
-        for pattern, message in BULK_PATTERNS:
-            if pattern.search(code):
-                errors.append(f"{rel}:{i + 1}: {message}")
-
-
 BULK_FIXTURES = [
     Fixture("src/bulk/x.cc", "auto blob = FileSource::ReadAll(path);\n",
             bad=True),
@@ -639,18 +620,6 @@ DRIFT_PATTERNS = [
 ]
 
 
-def check_drift(rel, lines, errors):
-    if not rel.startswith(DRIFT_PREFIX):
-        return
-    if rel.startswith(DRIFT_ALLOWED_PREFIXES):
-        return
-    for i, line in enumerate(lines):
-        code = LINE_COMMENT.sub("", line)
-        for pattern, message in DRIFT_PATTERNS:
-            if pattern.search(code):
-                errors.append(f"{rel}:{i + 1}: {message}")
-
-
 DRIFT_FIXTURES = [
     Fixture("src/serve/server.cc",
             "#include \"drift/tracker.h\"\n", bad=True),
@@ -691,7 +660,8 @@ RULES = [
     Rule("locks", check_locks, LOCKS_FIXTURES),
     Rule("nodiscard", check_nodiscard, NODISCARD_FIXTURES),
     Rule("kernels", check_kernels, KERNELS_FIXTURES),
-    Rule("bulk", check_bulk, BULK_FIXTURES),
+    Rule("bulk", _pattern_check(set(), (), BULK_PATTERNS, scope=BULK_PREFIX),
+         BULK_FIXTURES),
     Rule("chrono",
          _pattern_check(CHRONO_ALLOWLIST, CHRONO_ALLOWED_PREFIXES,
                         CHRONO_PATTERNS), CHRONO_FIXTURES),
@@ -700,8 +670,12 @@ RULES = [
                         FSTREAM_PATTERNS), FSTREAM_FIXTURES),
     Rule("sockets", _pattern_check(set(), SOCKET_ALLOWED_PREFIXES,
                                    SOCKET_PATTERNS), SOCKET_FIXTURES),
-    Rule("blocknet", check_blocknet, BLOCKNET_FIXTURES),
-    Rule("drift", check_drift, DRIFT_FIXTURES),
+    Rule("blocknet",
+         _pattern_check(set(), BLOCKNET_ALLOWED_PREFIXES, BLOCKNET_PATTERNS,
+                        scope=BLOCKNET_PREFIX), BLOCKNET_FIXTURES),
+    Rule("drift",
+         _pattern_check(set(), DRIFT_ALLOWED_PREFIXES, DRIFT_PATTERNS,
+                        scope=DRIFT_PREFIX), DRIFT_FIXTURES),
 ]
 
 # --- cmake-reg (tree-level, not per-file) -----------------------------------

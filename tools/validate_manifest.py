@@ -7,9 +7,11 @@ Two modes:
       Validate already-written manifests against the schema documented in
       src/obs/manifest.h. When a manifest names a trace_file, the trace is
       validated too (path resolved relative to the manifest's directory,
-      then as given). Manifests carrying drift_* config keys (drift-enabled
-      runs, bench/micro_drift) additionally get their window size,
-      controller state, and measure ranges checked.
+      then as given). Manifests carrying drift_* results (bench/micro_drift)
+      additionally get their window size, controller state, and measure
+      ranges checked. A published bench result (a file named BENCH_*.json)
+      must carry a non-empty, all-numeric "results" object and must not
+      come from a smoke run.
 
   validate_manifest.py --run <bench_binary> [bench args...]
       Run a bench binary in a scratch directory with RLBENCH_METRICS=1 and
@@ -23,6 +25,7 @@ problem on stderr.
 
 import argparse
 import json
+import math
 import numbers
 import os
 import pathlib
@@ -30,7 +33,7 @@ import subprocess
 import sys
 import tempfile
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def fail(errors, path, message):
@@ -62,10 +65,11 @@ def validate_histogram_summary(errors, path, name, summary):
                                f"number (got {value!r})")
 
 
-# Drift-monitor manifests (bench/micro_drift, drift-enabled serve runs)
-# publish their window state through config keys. Config values arrive as
-# JSON numbers (obs::Manifest::AddConfig(key, double)), so integral keys
-# are checked as whole-valued reals rather than ints.
+# Drift-monitor manifests (bench/micro_drift) publish the controller's
+# window state through results; the window size is an input and stays in
+# config. Results are JSON numbers, so integral keys are checked as
+# whole-valued reals, and drift_state is the DriftState ordinal
+# (src/drift/controller.h) indexing DRIFT_STATES.
 DRIFT_COUNT_KEYS = ("drift_windows", "drift_windows_to_trigger",
                     "drift_triggers", "drift_transitions",
                     "drift_swap_recovery_requests")
@@ -74,35 +78,41 @@ DRIFT_UNIT_KEYS = ("drift_best_linear_f1", "drift_complexity_avg",
 DRIFT_STATES = ("stable", "watch", "triggered")
 
 
-def validate_drift_config(errors, path, config):
-    drift_keys = [key for key in config if key.startswith("drift_")]
+def is_whole(value, low):
+    return not isinstance(value, bool) and \
+        isinstance(value, numbers.Real) and math.isfinite(value) and \
+        value == int(value) and value >= low
+
+
+def validate_drift_results(errors, path, config, results):
+    drift_keys = [key for key in results if key.startswith("drift_")]
     if not drift_keys:
         return
     # A manifest that reports anything about drift must pin down the
     # window size, the controller's final state, and how often it moved.
-    for key in ("drift_window_pairs", "drift_state", "drift_transitions"):
-        if key not in config:
-            fail(errors, path, f"drift config present ({sorted(drift_keys)}) "
-                               f"but required key '{key}' is missing")
-    state = config.get("drift_state")
-    if state is not None and state not in DRIFT_STATES:
-        fail(errors, path, f"drift_state {state!r} not in {DRIFT_STATES}")
+    for section, values, key in (("config", config, "drift_window_pairs"),
+                                 ("results", results, "drift_state"),
+                                 ("results", results, "drift_transitions")):
+        if key not in values:
+            fail(errors, path, f"drift results present ({sorted(drift_keys)})"
+                               f" but required {section} key '{key}' is "
+                               f"missing")
+    state = results.get("drift_state")
+    if state is not None and not (is_whole(state, 0) and
+                                  state < len(DRIFT_STATES)):
+        fail(errors, path, f"drift_state {state!r} is not the ordinal of one "
+                           f"of {DRIFT_STATES}")
     window = config.get("drift_window_pairs")
-    if window is not None:
-        if isinstance(window, bool) or not isinstance(window, numbers.Real) \
-                or window != int(window) or window <= 0:
-            fail(errors, path, f"drift_window_pairs must be a positive "
-                               f"integer (got {window!r})")
+    if window is not None and not is_whole(window, 1):
+        fail(errors, path, f"drift_window_pairs must be a positive "
+                           f"integer (got {window!r})")
     for key in DRIFT_COUNT_KEYS:
-        value = config.get(key)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or value != int(value) or value < 0:
+        value = results.get(key)
+        if value is not None and not is_whole(value, 0):
             fail(errors, path, f"'{key}' must be a non-negative integer "
                                f"(got {value!r})")
     for key in DRIFT_UNIT_KEYS:
-        value = config.get(key)
+        value = results.get(key)
         if value is None:
             continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
@@ -112,7 +122,7 @@ def validate_drift_config(errors, path, config):
     # the overhead ratio only has to be a non-negative number.
     for key, low in (("drift_nlb", -1.0), ("drift_sampling_overhead_ratio",
                                            0.0)):
-        value = config.get(key)
+        value = results.get(key)
         if value is None:
             continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
@@ -122,6 +132,7 @@ def validate_drift_config(errors, path, config):
 
 
 def validate_manifest(errors, path, manifest):
+    published = pathlib.Path(path).name.startswith("BENCH_")
     if not isinstance(manifest, dict):
         fail(errors, path, "top level is not a JSON object")
         return
@@ -147,8 +158,23 @@ def validate_manifest(errors, path, manifest):
                 fail(errors, path, f"dataset id {entry!r} is not a string")
 
     config = expect_type(errors, path, manifest, "config", dict)
+    # Every measured number lives in one flat object of named numbers; a
+    # published result must carry at least one.
+    results = expect_type(errors, path, manifest, "results", dict,
+                          required=published)
+    if results is not None:
+        if published and not results:
+            fail(errors, path, "published result has an empty 'results'")
+        for name, value in results.items():
+            if isinstance(value, bool) or \
+                    not isinstance(value, numbers.Real) or \
+                    not math.isfinite(value):
+                fail(errors, path, f"result '{name}' is not a finite number "
+                                   f"(got {value!r})")
     if config is not None:
-        validate_drift_config(errors, path, config)
+        validate_drift_results(errors, path, config, results or {})
+        if published and config.get("smoke") in (True, "true"):
+            fail(errors, path, "published result comes from a smoke run")
 
     phases = expect_type(errors, path, manifest, "phases", list)
     if phases is not None:
