@@ -19,34 +19,26 @@
 
 using namespace rlbench;
 
-namespace {
-
-datagen::Domain ParseDomain(const std::string& name) {
-  for (auto domain :
-       {datagen::Domain::kBibliographic, datagen::Domain::kProduct,
-        datagen::Domain::kRestaurant, datagen::Domain::kSong,
-        datagen::Domain::kBeer, datagen::Domain::kMovie,
-        datagen::Domain::kCompanyText, datagen::Domain::kProductText}) {
-    if (name == datagen::DomainName(domain)) return domain;
-  }
-  return datagen::Domain::kProduct;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   size_t pairs = static_cast<size_t>(flags.GetInt("pairs", 2500));
-  datagen::Domain domain =
-      ParseDomain(flags.GetString("domain", "product"));
+  std::string domain_name = flags.GetString("domain", "product");
+  auto domain = datagen::DomainFromName(domain_name);
 
   benchutil::BenchRun run("ablation_difficulty");
   run.manifest().AddConfig("pairs", static_cast<int64_t>(pairs));
-  run.manifest().AddConfig("domain", std::string(datagen::DomainName(domain)));
+  run.manifest().AddConfig("domain", domain_name);
+  if (!domain) {
+    // Nothing to degrade to: record the failed sweep and exit non-zero.
+    Status status = Status::InvalidArgument("unknown domain " + domain_name);
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    run.manifest().AddCompletedPhase("sweep", 0.0, true, status.ToString());
+    run.Finish();
+    return 1;
+  }
 
   TablePrinter table(
-      std::string("Ablation: difficulty continuum on the '") +
-      datagen::DomainName(domain) + "' domain");
+      "Ablation: difficulty continuum on the '" + domain_name + "' domain");
   table.SetHeader({"noise", "hard-neg", "F1max_CS", "cx avg", "SA-ESDE",
                    "SBQ-ESDE"});
 
@@ -56,7 +48,7 @@ int main(int argc, char** argv) {
       datagen::ExistingBenchmarkSpec spec;
       spec.id = "sweep";
       spec.origin = "sweep";
-      spec.domain = domain;
+      spec.domain = *domain;
       spec.num_attrs = 0;  // full domain schema
       spec.total_pairs = pairs;
       spec.positives = pairs / 8;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iostream>
+#include <map>
 #include <thread>
 
 #include "common/check.h"
@@ -12,24 +14,19 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "common/table_printer.h"
+#include "core/complexity.h"
+#include "core/linearity.h"
 #include "data/csv.h"
 #include "data/file_source.h"
+#include "datagen/catalog.h"
+#include "datagen/task_builder.h"
 #include "fault/failpoint.h"
+#include "matchers/registry.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 
 namespace rlbench::benchutil {
-
-double AutoScale(size_t total_pairs, size_t max_pairs) {
-  if (total_pairs <= max_pairs) return 1.0;
-  return static_cast<double>(max_pairs) / static_cast<double>(total_pairs);
-}
-
-std::vector<std::string> SelectIds(const Flags& flags,
-                                   const std::vector<std::string>& fallback) {
-  if (!flags.Has("datasets")) return fallback;
-  return SplitAny(flags.GetString("datasets", ""), ",");
-}
 
 std::string Pct(double fraction) { return FormatDouble(100.0 * fraction, 2); }
 
@@ -207,18 +204,27 @@ void BenchRun::Finish() {
 }
 
 size_t ForEachDataset(BenchRun& run, const std::vector<std::string>& ids,
-                      const std::function<Status(const std::string&)>& body) {
+                      const std::function<Status(size_t)>& body) {
+  std::vector<Status> statuses(ids.size());
+  std::vector<double> seconds(ids.size(), 0.0);
+  auto drive = [&](size_t i) {
+    const std::string span_name = "dataset/" + ids[i];
+    obs::TraceSpan span(span_name.c_str());
+    std::fprintf(stderr, "[%s] %s...\n", run.manifest().name().c_str(),
+                 ids[i].c_str());
+    Stopwatch watch;
+    statuses[i] = body(i);
+    seconds[i] = watch.ElapsedSeconds();
+  };
+  if (ids.size() == 1) {
+    drive(0);
+  } else {
+    ParallelFor(0, ids.size(), 1, drive);
+  }
   size_t failed = 0;
-  for (const auto& id : ids) {
-    run.manifest().BeginPhase("dataset/" + id);
-    Status status = body(id);
-    if (!status.ok()) {
-      ++failed;
-      run.manifest().FailPhase(status.ToString());
-      std::fprintf(stderr, "bench: dataset %s failed: %s (continuing)\n",
-                   id.c_str(), status.ToString().c_str());
-    }
-    run.manifest().EndPhase();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!statuses[i].ok()) ++failed;
+    RecordDatasetPhase(run, ids[i], seconds[i], statuses[i]);
   }
   return failed;
 }
@@ -235,6 +241,31 @@ void RecordDatasetPhase(BenchRun& run, const std::string& id, double seconds,
                id.c_str(), status.ToString().c_str());
 }
 
+namespace {
+
+// Dataset ids from --datasets, else every id of `catalog`; recorded in the
+// manifest.
+template <typename Catalog>
+std::vector<std::string> SelectIds(const Flags& flags, BenchRun& run,
+                                   const Catalog& catalog) {
+  std::vector<std::string> ids;
+  if (flags.Has("datasets")) {
+    ids = SplitAny(flags.GetString("datasets", ""), ",");
+  } else {
+    for (const auto& spec : catalog) ids.push_back(spec.id);
+  }
+  run.manifest().SetDatasets(ids);
+  return ids;
+}
+
+// Scale factor capping a benchmark at `max_pairs` labelled pairs.
+double AutoScale(size_t total_pairs, size_t max_pairs) {
+  if (total_pairs <= max_pairs) return 1.0;
+  return static_cast<double>(max_pairs) / static_cast<double>(total_pairs);
+}
+
+// Cap a task's pair count by thinning easy negatives (positives are always
+// kept, so difficulty is preserved or increased).
 void CapPairs(data::MatchingTask* task, size_t max_pairs) {
   size_t total = task->AllPairs().size();
   if (total <= max_pairs) return;
@@ -251,6 +282,244 @@ void CapPairs(data::MatchingTask* task, size_t max_pairs) {
   task->set_train(thin(task->train()));
   task->set_valid(thin(task->valid()));
   task->set_test(thin(task->test()));
+}
+
+}  // namespace
+
+std::vector<std::string> ExistingTasks::SelectIds(const Flags& flags,
+                                                  BenchRun& run) {
+  return benchutil::SelectIds(flags, run, datagen::ExistingBenchmarks());
+}
+
+ExistingTasks::ExistingTasks(BenchRun& run, double scale) : scale_(scale) {
+  run.manifest().AddConfig("scale", scale);
+}
+
+ExistingTasks::ExistingTasks(const Flags& flags, BenchRun& run,
+                             size_t default_max_pairs)
+    : max_pairs_(static_cast<size_t>(flags.GetInt(
+          "max-pairs", static_cast<int64_t>(default_max_pairs)))) {
+  run.manifest().AddConfig("max_pairs", static_cast<int64_t>(max_pairs_));
+}
+
+Result<data::MatchingTask> ExistingTasks::Task(const std::string& id) const {
+  const auto* spec = datagen::FindExistingBenchmark(id);
+  if (spec == nullptr) return Status::NotFound("unknown dataset id " + id);
+  double scale = scale_ ? *scale_ : AutoScale(spec->total_pairs, max_pairs_);
+  return datagen::BuildExistingBenchmark(*spec, scale);
+}
+
+std::vector<std::string> NewTasks::SelectIds(const Flags& flags,
+                                             BenchRun& run) {
+  return benchutil::SelectIds(flags, run, datagen::SourceDatasets());
+}
+
+NewTasks::NewTasks(const Flags& flags, BenchRun& run,
+                   std::optional<size_t> default_max_pairs) {
+  options_.scale = flags.GetDouble("scale", 0.35);
+  options_.min_recall = flags.GetDouble("recall", 0.9);
+  options_.k_max = static_cast<int>(flags.GetInt("kmax", 64));
+  run.manifest().AddConfig("scale", options_.scale);
+  run.manifest().AddConfig("recall", options_.min_recall);
+  run.manifest().AddConfig("kmax", static_cast<int64_t>(options_.k_max));
+  if (default_max_pairs) {
+    max_pairs_ = static_cast<size_t>(flags.GetInt(
+        "max-pairs", static_cast<int64_t>(*default_max_pairs)));
+    run.manifest().AddConfig("max_pairs", static_cast<int64_t>(*max_pairs_));
+  }
+}
+
+Result<core::NewBenchmark> NewTasks::Build(const std::string& id) const {
+  const auto* spec = datagen::FindSourceDataset(id);
+  if (spec == nullptr) return Status::NotFound("unknown dataset id " + id);
+  RLBENCH_ASSIGN_OR_RETURN(core::NewBenchmark benchmark,
+                           core::BuildNewBenchmark(*spec, options_));
+  if (max_pairs_) CapPairs(&benchmark.task, *max_pairs_);
+  return benchmark;
+}
+
+Result<data::MatchingTask> NewTasks::Task(const std::string& id) const {
+  RLBENCH_ASSIGN_OR_RETURN(core::NewBenchmark benchmark, Build(id));
+  return std::move(benchmark.task);
+}
+
+std::vector<CachedScore> ScoreLineups(BenchRun& run, const Flags& flags,
+                                      const TaskSource& tasks,
+                                      const std::vector<std::string>& ids,
+                                      const std::string& cache_name,
+                                      size_t* failed) {
+  matchers::RegistryOptions registry;
+  registry.epoch_scale = flags.GetDouble("epoch-scale", 1.0);
+  run.manifest().AddConfig("epoch_scale", registry.epoch_scale);
+  std::vector<std::vector<CachedScore>> per_dataset(ids.size());
+  *failed += ForEachDataset(run, ids, [&](size_t i) -> Status {
+    RLBENCH_ASSIGN_OR_RETURN(data::MatchingTask task, tasks.Task(ids[i]));
+    matchers::MatchingContext context(&task);
+    auto lineup = matchers::BuildMatcherLineup(registry);
+    for (const auto& score : core::ScoreLineup(context, &lineup)) {
+      per_dataset[i].push_back({ids[i], score.name, score.group, score.f1});
+    }
+    return Status::OK();
+  });
+  std::vector<CachedScore> scores;
+  for (auto& rows : per_dataset) {
+    scores.insert(scores.end(), rows.begin(), rows.end());
+  }
+  SaveScores(cache_name, scores);
+  return scores;
+}
+
+void PrintMatcherTable(const std::string& title,
+                       const std::vector<std::string>& ids,
+                       const std::vector<CachedScore>& scores) {
+  // matcher name -> dataset -> F1 (insertion-ordered rows).
+  std::vector<std::string> row_order;
+  std::map<std::string, std::map<std::string, double>> matrix;
+  std::map<std::string, matchers::MatcherGroup> groups;
+  for (const auto& score : scores) {
+    if (matrix.find(score.matcher) == matrix.end()) {
+      row_order.push_back(score.matcher);
+    }
+    matrix[score.matcher][score.dataset] = score.f1;
+    groups[score.matcher] = score.group;
+  }
+  TablePrinter table(title);
+  std::vector<std::string> header = {"method"};
+  header.insert(header.end(), ids.begin(), ids.end());
+  table.SetHeader(std::move(header));
+  auto section = [&](matchers::MatcherGroup group, const char* label) {
+    table.AddRow({label});
+    for (const auto& name : row_order) {
+      if (groups[name] != group) continue;
+      std::vector<std::string> row = {name};
+      for (const auto& id : ids) {
+        auto it = matrix[name].find(id);
+        row.push_back(it == matrix[name].end() ? "-" : Pct(it->second));
+      }
+      table.AddRow(std::move(row));
+    }
+    table.AddSeparator();
+  };
+  section(matchers::MatcherGroup::kDeepLearning,
+          "(a) DL-based matching algorithms");
+  section(matchers::MatcherGroup::kClassicMl,
+          "(b) Non-neural, non-linear ML-based matching algorithms");
+  section(matchers::MatcherGroup::kLinear,
+          "(c) Non-neural, linear supervised matching algorithms");
+  section(matchers::MatcherGroup::kZeroShot,
+          "(d) Training-free zero-shot matching algorithms");
+  table.Print(std::cout);
+}
+
+size_t PrintPractical(
+    BenchRun& run, const Flags& flags, const std::vector<std::string>& ids,
+    const std::string& cache_name, const std::string& table_bench,
+    const std::function<std::vector<CachedScore>(size_t*)>& recompute,
+    const std::string& title) {
+  bool recompute_flag = flags.GetBool("recompute", false);
+  run.manifest().AddConfig("recompute", static_cast<int64_t>(recompute_flag));
+  auto cached = recompute_flag ? std::nullopt : LoadScores(cache_name);
+  std::vector<CachedScore> scores;
+  size_t failed = 0;
+  if (cached) {
+    scores = std::move(*cached);
+    std::printf("(using cached scores from %s)\n", table_bench.c_str());
+    for (const auto& id : ids) {
+      bool present = std::any_of(
+          scores.begin(), scores.end(),
+          [&](const CachedScore& row) { return row.dataset == id; });
+      if (present) continue;
+      ++failed;
+      RecordDatasetPhase(
+          run, id, 0.0,
+          Status::NotFound("dataset " + id + " is not in " + ResultsDir() +
+                           "/" + cache_name + ".csv; run " + table_bench +
+                           " with it or pass --recompute"));
+    }
+  } else {
+    scores = recompute(&failed);
+  }
+
+  TablePrinter table(title);
+  table.SetHeader({"dataset", "NLB%", "LBM%", "best nonlinear", "best linear"});
+  {
+    obs::ManifestPhase phase(&run.manifest(), "practical");
+    for (const auto& id : ids) {
+      std::vector<core::MatcherScore> dataset_scores;
+      for (const auto& row : scores) {
+        if (row.dataset == id) {
+          dataset_scores.push_back({row.matcher, row.group, row.f1});
+        }
+      }
+      if (dataset_scores.empty()) continue;
+      auto practical = core::ComputePractical(dataset_scores);
+      table.AddRow({id, Pct(practical.non_linear_boost),
+                    Pct(practical.learning_based_margin),
+                    F3(practical.best_nonlinear_f1),
+                    F3(practical.best_linear_f1)});
+    }
+  }
+  table.Print(std::cout);
+  return failed;
+}
+
+size_t PrintLinearity(BenchRun& run, const TaskSource& tasks,
+                      const std::vector<std::string>& ids,
+                      const std::string& title) {
+  std::vector<std::vector<std::string>> rows(ids.size());
+  size_t failed = ForEachDataset(run, ids, [&](size_t i) -> Status {
+    RLBENCH_ASSIGN_OR_RETURN(data::MatchingTask task, tasks.Task(ids[i]));
+    auto result = core::ComputeLinearity(matchers::MatchingContext(&task));
+    rows[i] = {ids[i], F3(result.f1_cosine),
+               FormatDouble(result.threshold_cosine, 2),
+               F3(result.f1_jaccard),
+               FormatDouble(result.threshold_jaccard, 2)};
+    return Status::OK();
+  });
+  TablePrinter table(title);
+  table.SetHeader({"dataset", "F1max_CS", "t_CS", "F1max_JS", "t_JS"});
+  for (auto& row : rows) {
+    if (!row.empty()) table.AddRow(std::move(row));
+  }
+  table.Print(std::cout);
+  return failed;
+}
+
+size_t PrintComplexity(BenchRun& run, const TaskSource& tasks,
+                       const std::vector<std::string>& ids, size_t sample,
+                       const std::string& title) {
+  std::vector<std::optional<core::ComplexityReport>> reports(ids.size());
+  size_t failed = ForEachDataset(run, ids, [&](size_t i) -> Status {
+    RLBENCH_ASSIGN_OR_RETURN(data::MatchingTask task, tasks.Task(ids[i]));
+    matchers::MatchingContext context(&task);
+    core::ComplexityOptions options;
+    options.max_points = sample;
+    reports[i] =
+        core::ComputeComplexity(core::PairFeaturePoints(context), options);
+    return Status::OK();
+  });
+  TablePrinter table(title);
+  bool header_set = false;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!reports[i]) continue;
+    if (!header_set) {
+      std::vector<std::string> header = {"dataset"};
+      for (const auto& [name, value] : reports[i]->Items()) {
+        header.push_back(name);
+      }
+      header.push_back("avg");
+      table.SetHeader(std::move(header));
+      header_set = true;
+    }
+    std::vector<std::string> row = {ids[i]};
+    for (const auto& [name, value] : reports[i]->Items()) {
+      row.push_back(FormatDouble(value, 2));
+    }
+    row.push_back(F3(reports[i]->Average()));
+    table.AddRow(std::move(row));
+  }
+  table.Print(std::cout);
+  return failed;
 }
 
 }  // namespace rlbench::benchutil

@@ -5,73 +5,19 @@
 // Flags: --max-pairs=<n> (default 120000: full scale for all 13 datasets;
 //        Algorithm 1 is cheap), --datasets=...
 #include <cstdio>
-#include <iostream>
 
 #include "bench_util.h"
-#include "common/parallel.h"
-#include "common/stopwatch.h"
-#include "common/strings.h"
-#include "common/table_printer.h"
-#include "core/linearity.h"
-#include "datagen/catalog.h"
-#include "datagen/task_builder.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  size_t max_pairs =
-      static_cast<size_t>(flags.GetInt("max-pairs", 120000));
-
   benchutil::BenchRun run("fig1_linearity");
-  run.manifest().AddConfig("max_pairs", static_cast<int64_t>(max_pairs));
-
-  std::vector<std::string> fallback;
-  for (const auto& spec : datagen::ExistingBenchmarks()) {
-    fallback.push_back(spec.id);
-  }
-  auto ids = benchutil::SelectIds(flags, fallback);
-  run.manifest().SetDatasets(ids);
-
-  TablePrinter table(
+  benchutil::ExistingTasks tasks(flags, run, 120000);
+  auto ids = benchutil::ExistingTasks::SelectIds(flags, run);
+  size_t failed = benchutil::PrintLinearity(
+      run, tasks, ids,
       "Figure 1 (data series): degree of linearity per established dataset");
-  table.SetHeader({"dataset", "F1max_CS", "t_CS", "F1max_JS", "t_JS"});
-
-  // Resolve every id up front (an unknown id is a failed phase, not a
-  // fatal error), then fan the per-dataset work out across the pool
-  // (grain 1: one dataset per chunk). Inner Parallel* calls run inline,
-  // so results match a serial drive bit for bit; rows, and the manifest's
-  // per-dataset phases, are emitted post-join in the original id order
-  // because the manifest is not thread-safe.
-  std::vector<const datagen::ExistingBenchmarkSpec*> specs(ids.size(), nullptr);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    specs[i] = datagen::FindExistingBenchmark(ids[i]);
-  }
-  std::vector<core::LinearityResult> results(specs.size());
-  std::vector<double> seconds(specs.size(), 0.0);
-  ParallelFor(0, specs.size(), 1, [&](size_t i) {
-    if (specs[i] == nullptr) return;
-    Stopwatch watch;
-    double scale = benchutil::AutoScale(specs[i]->total_pairs, max_pairs);
-    auto task = datagen::BuildExistingBenchmark(*specs[i], scale);
-    matchers::MatchingContext context(&task);
-    results[i] = core::ComputeLinearity(context);
-    seconds[i] = watch.ElapsedSeconds();
-  });
-  size_t failed = 0;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    Status status = specs[i] == nullptr
-                        ? Status::NotFound("unknown dataset id " + ids[i])
-                        : Status::OK();
-    if (!status.ok()) ++failed;
-    benchutil::RecordDatasetPhase(run, ids[i], seconds[i], status);
-    if (specs[i] == nullptr) continue;
-    table.AddRow({specs[i]->id, benchutil::F3(results[i].f1_cosine),
-                  FormatDouble(results[i].threshold_cosine, 2),
-                  benchutil::F3(results[i].f1_jaccard),
-                  FormatDouble(results[i].threshold_jaccard, 2)});
-  }
-  table.Print(std::cout);
   std::printf(
       "\nReading: >0.8 marks an (almost) linearly separable benchmark; the\n"
       "paper finds six such datasets among the thirteen.\n");

@@ -5,87 +5,22 @@
 // Flags: --max-pairs=<n> (default 60000), --sample=<n> (default 2000),
 //        --datasets=...
 #include <cstdio>
-#include <iostream>
 
 #include "bench_util.h"
-#include "common/parallel.h"
-#include "common/stopwatch.h"
-#include "common/strings.h"
-#include "common/table_printer.h"
-#include "core/complexity.h"
-#include "datagen/catalog.h"
-#include "datagen/task_builder.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  size_t max_pairs = static_cast<size_t>(flags.GetInt("max-pairs", 60000));
-  size_t sample = static_cast<size_t>(flags.GetInt("sample", 2000));
-
   benchutil::BenchRun run("fig2_complexity");
-  run.manifest().AddConfig("max_pairs", static_cast<int64_t>(max_pairs));
+  benchutil::ExistingTasks tasks(flags, run, 60000);
+  size_t sample = static_cast<size_t>(flags.GetInt("sample", 2000));
   run.manifest().AddConfig("sample", static_cast<int64_t>(sample));
-
-  std::vector<std::string> fallback;
-  for (const auto& spec : datagen::ExistingBenchmarks()) {
-    fallback.push_back(spec.id);
-  }
-  auto ids = benchutil::SelectIds(flags, fallback);
-  run.manifest().SetDatasets(ids);
-
-  TablePrinter table(
+  auto ids = benchutil::ExistingTasks::SelectIds(flags, run);
+  size_t failed = benchutil::PrintComplexity(
+      run, tasks, ids, sample,
       "Figure 2 (data series): complexity measures per established dataset "
       "(sample=" + std::to_string(sample) + ")");
-
-  // Resolve ids serially (bad-flag path), then fan the datasets out across
-  // the pool at grain 1. Inner Parallel* calls run inline, so every report
-  // matches a serial drive bit for bit; the table is assembled serially
-  // afterwards in the original id order.
-  std::vector<const datagen::ExistingBenchmarkSpec*> specs(ids.size(), nullptr);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    specs[i] = datagen::FindExistingBenchmark(ids[i]);
-  }
-  std::vector<core::ComplexityReport> reports(specs.size());
-  std::vector<double> seconds(specs.size(), 0.0);
-  ParallelFor(0, specs.size(), 1, [&](size_t i) {
-    if (specs[i] == nullptr) return;
-    Stopwatch watch;
-    double scale = benchutil::AutoScale(specs[i]->total_pairs, max_pairs);
-    auto task = datagen::BuildExistingBenchmark(*specs[i], scale);
-    matchers::MatchingContext context(&task);
-    core::ComplexityOptions options;
-    options.max_points = sample;
-    reports[i] =
-        core::ComputeComplexity(core::PairFeaturePoints(context), options);
-    seconds[i] = watch.ElapsedSeconds();
-  });
-  size_t failed = 0;
-  bool header_set = false;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    Status status = specs[i] == nullptr
-                        ? Status::NotFound("unknown dataset id " + ids[i])
-                        : Status::OK();
-    if (!status.ok()) ++failed;
-    benchutil::RecordDatasetPhase(run, ids[i], seconds[i], status);
-    if (specs[i] == nullptr) continue;
-    if (!header_set) {
-      std::vector<std::string> header = {"dataset"};
-      for (const auto& [name, value] : reports[i].Items()) {
-        header.push_back(name);
-      }
-      header.push_back("avg");
-      table.SetHeader(std::move(header));
-      header_set = true;
-    }
-    std::vector<std::string> row = {specs[i]->id};
-    for (const auto& [name, value] : reports[i].Items()) {
-      row.push_back(FormatDouble(value, 2));
-    }
-    row.push_back(benchutil::F3(reports[i].Average()));
-    table.AddRow(std::move(row));
-  }
-  table.Print(std::cout);
   std::printf(
       "\nReading: a mean score below 0.400 indicates an easy classification\n"
       "task (the paper marks only Ds4, Ds6, Dd4, Dt1, Dt2 as challenging).\n");

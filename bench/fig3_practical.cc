@@ -6,86 +6,23 @@
 // Flags: --max-pairs, --datasets, --epoch-scale (only used on recompute),
 //        --recompute (ignore the cache).
 #include <cstdio>
-#include <iostream>
-#include <map>
 
 #include "bench_util.h"
-#include "common/table_printer.h"
-#include "core/practical.h"
-#include "datagen/catalog.h"
-#include "datagen/task_builder.h"
-#include "matchers/registry.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-
   benchutil::BenchRun run("fig3_practical");
-
-  std::vector<std::string> fallback;
-  for (const auto& spec : datagen::ExistingBenchmarks()) {
-    fallback.push_back(spec.id);
-  }
-  auto ids = benchutil::SelectIds(flags, fallback);
-  run.manifest().SetDatasets(ids);
-
-  bool recompute = flags.GetBool("recompute", false);
-  run.manifest().AddConfig("recompute", static_cast<int64_t>(recompute));
-  auto cached =
-      recompute ? std::nullopt : benchutil::LoadScores("table4_scores");
-  std::vector<benchutil::CachedScore> scores;
-  size_t failed = 0;
-  if (cached) {
-    scores = *cached;
-    std::printf("(using cached scores from table4_matchers)\n");
-  } else {
-    size_t max_pairs = static_cast<size_t>(flags.GetInt("max-pairs", 4000));
-    double epoch_scale = flags.GetDouble("epoch-scale", 1.0);
-    run.manifest().AddConfig("max_pairs", static_cast<int64_t>(max_pairs));
-    run.manifest().AddConfig("epoch_scale", epoch_scale);
-    failed = benchutil::ForEachDataset(
-        run, ids, [&](const std::string& id) -> Status {
-          const auto* spec = datagen::FindExistingBenchmark(id);
-          if (spec == nullptr) {
-            return Status::NotFound("unknown dataset id " + id);
-          }
-          double scale = benchutil::AutoScale(spec->total_pairs, max_pairs);
-          std::fprintf(stderr, "[fig3] %s (scale %.3f)...\n", id.c_str(),
-                       scale);
-          auto task = datagen::BuildExistingBenchmark(*spec, scale);
-          matchers::MatchingContext context(&task);
-          matchers::RegistryOptions registry;
-          registry.epoch_scale = epoch_scale;
-          auto lineup = matchers::BuildMatcherLineup(registry);
-          for (const auto& score : core::ScoreLineup(context, &lineup)) {
-            scores.push_back({id, score.name, score.group, score.f1});
-          }
-          return Status::OK();
-        });
-    benchutil::SaveScores("table4_scores", scores);
-  }
-
-  TablePrinter table(
+  auto ids = benchutil::ExistingTasks::SelectIds(flags, run);
+  size_t failed = benchutil::PrintPractical(
+      run, flags, ids, "table4_scores", "table4_matchers",
+      [&](size_t* recompute_failed) {
+        benchutil::ExistingTasks tasks(flags, run, 4000);
+        return benchutil::ScoreLineups(run, flags, tasks, ids,
+                                       "table4_scores", recompute_failed);
+      },
       "Figure 3 (data series): non-linear boost and learning-based margin");
-  table.SetHeader({"dataset", "NLB%", "LBM%", "best nonlinear", "best linear"});
-  run.manifest().BeginPhase("practical");
-  for (const auto& id : ids) {
-    std::vector<core::MatcherScore> dataset_scores;
-    for (const auto& row : scores) {
-      if (row.dataset == id) {
-        dataset_scores.push_back({row.matcher, row.group, row.f1});
-      }
-    }
-    if (dataset_scores.empty()) continue;
-    auto practical = core::ComputePractical(dataset_scores);
-    table.AddRow({id, benchutil::Pct(practical.non_linear_boost),
-                  benchutil::Pct(practical.learning_based_margin),
-                  benchutil::F3(practical.best_nonlinear_f1),
-                  benchutil::F3(practical.best_linear_f1)});
-  }
-  run.manifest().EndPhase();
-  table.Print(std::cout);
   std::printf(
       "\nReading: a challenging benchmark needs both NLB and LBM above 5%%\n"
       "(ideally 10%%); the paper marks only Ds4, Ds6, Dd4 and Dt1.\n");

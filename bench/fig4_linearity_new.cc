@@ -1,86 +1,21 @@
 // Figure 4(a): degree of linearity of the new benchmarks Dn1..Dn8.
 //
-// Flags: --scale, --recall, --kmax (must match table5 for identical
-//        benchmarks), --datasets=Dn1,...
+// Flags: --scale, --recall, --kmax (Section VI defaults, shared with the
+//        other new-benchmark benches), --datasets=Dn1,...
 #include <cstdio>
-#include <iostream>
 
 #include "bench_util.h"
-#include "common/parallel.h"
-#include "common/stopwatch.h"
-#include "common/strings.h"
-#include "common/table_printer.h"
-#include "core/benchmark_builder.h"
-#include "core/linearity.h"
-#include "datagen/catalog.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  double scale = flags.GetDouble("scale", 0.35);
-  double recall = flags.GetDouble("recall", 0.9);
-  int k_max = static_cast<int>(flags.GetInt("kmax", 64));
-
   benchutil::BenchRun run("fig4_linearity_new");
-  run.manifest().AddConfig("scale", scale);
-  run.manifest().AddConfig("recall", recall);
-  run.manifest().AddConfig("kmax", static_cast<int64_t>(k_max));
-
-  std::vector<std::string> fallback;
-  for (const auto& spec : datagen::SourceDatasets()) {
-    fallback.push_back(spec.id);
-  }
-  auto ids = benchutil::SelectIds(flags, fallback);
-  run.manifest().SetDatasets(ids);
-
-  TablePrinter table(
+  benchutil::NewTasks tasks(flags, run);
+  auto ids = benchutil::NewTasks::SelectIds(flags, run);
+  size_t failed = benchutil::PrintLinearity(
+      run, tasks, ids,
       "Figure 4(a) (data series): degree of linearity per new dataset");
-  table.SetHeader({"dataset", "F1max_CS", "t_CS", "F1max_JS", "t_JS"});
-
-  // Resolve ids serially (bad-flag path), then fan the datasets out across
-  // the pool at grain 1; progress lines may interleave but results land in
-  // indexed slots and the table keeps the original id order. Inner
-  // Parallel* calls run inline, so results match a serial drive.
-  std::vector<const datagen::SourceDatasetSpec*> specs(ids.size(), nullptr);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    specs[i] = datagen::FindSourceDataset(ids[i]);
-  }
-  std::vector<core::LinearityResult> results(specs.size());
-  std::vector<Status> statuses(specs.size(), Status::OK());
-  std::vector<double> seconds(specs.size(), 0.0);
-  ParallelFor(0, specs.size(), 1, [&](size_t i) {
-    if (specs[i] == nullptr) {
-      statuses[i] = Status::NotFound("unknown dataset id " + ids[i]);
-      return;
-    }
-    Stopwatch watch;
-    std::fprintf(stderr, "[fig4] %s...\n", specs[i]->id.c_str());
-    core::NewBenchmarkOptions options;
-    options.scale = scale;
-    options.min_recall = recall;
-    options.k_max = k_max;
-    auto benchmark = core::BuildNewBenchmark(*specs[i], options);
-    if (!benchmark.ok()) {
-      statuses[i] = benchmark.status();
-      seconds[i] = watch.ElapsedSeconds();
-      return;
-    }
-    matchers::MatchingContext context(&benchmark->task);
-    results[i] = core::ComputeLinearity(context);
-    seconds[i] = watch.ElapsedSeconds();
-  });
-  size_t failed = 0;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (!statuses[i].ok()) ++failed;
-    benchutil::RecordDatasetPhase(run, ids[i], seconds[i], statuses[i]);
-    if (!statuses[i].ok()) continue;
-    table.AddRow({specs[i]->id, benchutil::F3(results[i].f1_cosine),
-                  FormatDouble(results[i].threshold_cosine, 2),
-                  benchutil::F3(results[i].f1_jaccard),
-                  FormatDouble(results[i].threshold_jaccard, 2)});
-  }
-  table.Print(std::cout);
   std::printf(
       "\nReading: the paper finds both measures high for the bibliographic\n"
       "Dn3/Dn8 and low for the challenging Dn1, Dn2, Dn5, Dn6, Dn7.\n");

@@ -2,99 +2,21 @@
 //
 // Flags: --scale, --recall, --kmax, --sample (default 2000), --datasets=...
 #include <cstdio>
-#include <iostream>
 
 #include "bench_util.h"
-#include "common/parallel.h"
-#include "common/stopwatch.h"
-#include "common/strings.h"
-#include "common/table_printer.h"
-#include "core/benchmark_builder.h"
-#include "core/complexity.h"
-#include "datagen/catalog.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  double scale = flags.GetDouble("scale", 0.35);
-  double recall = flags.GetDouble("recall", 0.9);
-  int k_max = static_cast<int>(flags.GetInt("kmax", 64));
-  size_t sample = static_cast<size_t>(flags.GetInt("sample", 2000));
-
   benchutil::BenchRun run("fig5_complexity_new");
-  run.manifest().AddConfig("scale", scale);
-  run.manifest().AddConfig("recall", recall);
-  run.manifest().AddConfig("kmax", static_cast<int64_t>(k_max));
+  benchutil::NewTasks tasks(flags, run);
+  size_t sample = static_cast<size_t>(flags.GetInt("sample", 2000));
   run.manifest().AddConfig("sample", static_cast<int64_t>(sample));
-
-  std::vector<std::string> fallback;
-  for (const auto& spec : datagen::SourceDatasets()) {
-    fallback.push_back(spec.id);
-  }
-  auto ids = benchutil::SelectIds(flags, fallback);
-  run.manifest().SetDatasets(ids);
-
-  TablePrinter table(
+  auto ids = benchutil::NewTasks::SelectIds(flags, run);
+  size_t failed = benchutil::PrintComplexity(
+      run, tasks, ids, sample,
       "Figure 5 (data series): complexity measures per new dataset");
-  // Resolve ids serially (bad-flag path), then fan the datasets out across
-  // the pool at grain 1; progress lines may interleave but reports land in
-  // indexed slots and the table keeps the original id order. Inner
-  // Parallel* calls run inline, so reports match a serial drive.
-  std::vector<const datagen::SourceDatasetSpec*> specs(ids.size(), nullptr);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    specs[i] = datagen::FindSourceDataset(ids[i]);
-  }
-  std::vector<core::ComplexityReport> reports(specs.size());
-  std::vector<Status> statuses(specs.size(), Status::OK());
-  std::vector<double> seconds(specs.size(), 0.0);
-  ParallelFor(0, specs.size(), 1, [&](size_t i) {
-    if (specs[i] == nullptr) {
-      statuses[i] = Status::NotFound("unknown dataset id " + ids[i]);
-      return;
-    }
-    Stopwatch watch;
-    std::fprintf(stderr, "[fig5] %s...\n", specs[i]->id.c_str());
-    core::NewBenchmarkOptions options;
-    options.scale = scale;
-    options.min_recall = recall;
-    options.k_max = k_max;
-    auto benchmark = core::BuildNewBenchmark(*specs[i], options);
-    if (!benchmark.ok()) {
-      statuses[i] = benchmark.status();
-      seconds[i] = watch.ElapsedSeconds();
-      return;
-    }
-    matchers::MatchingContext context(&benchmark->task);
-    core::ComplexityOptions complexity_options;
-    complexity_options.max_points = sample;
-    reports[i] = core::ComputeComplexity(core::PairFeaturePoints(context),
-                                         complexity_options);
-    seconds[i] = watch.ElapsedSeconds();
-  });
-  size_t failed = 0;
-  bool header_set = false;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (!statuses[i].ok()) ++failed;
-    benchutil::RecordDatasetPhase(run, ids[i], seconds[i], statuses[i]);
-    if (!statuses[i].ok()) continue;
-    if (!header_set) {
-      std::vector<std::string> header = {"dataset"};
-      for (const auto& [name, value] : reports[i].Items()) {
-        header.push_back(name);
-      }
-      header.push_back("avg");
-      table.SetHeader(std::move(header));
-      header_set = true;
-    }
-    std::vector<std::string> row = {specs[i]->id};
-    for (const auto& [name, value] : reports[i].Items()) {
-      row.push_back(FormatDouble(value, 2));
-    }
-    row.push_back(benchutil::F3(reports[i].Average()));
-    table.AddRow(std::move(row));
-  }
-  table.Print(std::cout);
   std::printf(
       "\nReading: the paper finds averages below 0.40 only for the\n"
       "bibliographic Dn3/Dn8 (and the outlier Dn5).\n");

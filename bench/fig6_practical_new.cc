@@ -5,98 +5,23 @@
 // Flags: --scale, --recall, --kmax, --max-pairs, --epoch-scale,
 //        --recompute, --datasets=...
 #include <cstdio>
-#include <iostream>
-#include <utility>
 
 #include "bench_util.h"
-#include "common/table_printer.h"
-#include "core/benchmark_builder.h"
-#include "core/practical.h"
-#include "datagen/catalog.h"
-#include "matchers/registry.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-
   benchutil::BenchRun run("fig6_practical_new");
-
-  std::vector<std::string> fallback;
-  for (const auto& spec : datagen::SourceDatasets()) {
-    fallback.push_back(spec.id);
-  }
-  auto ids = benchutil::SelectIds(flags, fallback);
-  run.manifest().SetDatasets(ids);
-
-  bool recompute = flags.GetBool("recompute", false);
-  run.manifest().AddConfig("recompute", static_cast<int64_t>(recompute));
-  auto cached =
-      recompute ? std::nullopt : benchutil::LoadScores("table6_scores");
-  std::vector<benchutil::CachedScore> scores;
-  size_t failed = 0;
-  if (cached) {
-    scores = *cached;
-    std::printf("(using cached scores from table6_matchers_new)\n");
-  } else {
-    double scale = flags.GetDouble("scale", 0.35);
-    double recall = flags.GetDouble("recall", 0.9);
-    int k_max = static_cast<int>(flags.GetInt("kmax", 64));
-    double epoch_scale = flags.GetDouble("epoch-scale", 1.0);
-    run.manifest().AddConfig("scale", scale);
-    run.manifest().AddConfig("recall", recall);
-    run.manifest().AddConfig("kmax", static_cast<int64_t>(k_max));
-    run.manifest().AddConfig("epoch_scale", epoch_scale);
-    failed = benchutil::ForEachDataset(
-        run, ids, [&](const std::string& id) -> Status {
-          const auto* spec = datagen::FindSourceDataset(id);
-          if (spec == nullptr) {
-            return Status::NotFound("unknown dataset id " + id);
-          }
-          std::fprintf(stderr, "[fig6] %s...\n", id.c_str());
-          core::NewBenchmarkOptions options;
-          options.scale = scale;
-          options.min_recall = recall;
-          options.k_max = k_max;
-          auto built = core::BuildNewBenchmark(*spec, options);
-          if (!built.ok()) return built.status();
-          core::NewBenchmark benchmark = std::move(built).value();
-          benchutil::CapPairs(
-              &benchmark.task,
-              static_cast<size_t>(flags.GetInt("max-pairs", 4000)));
-          matchers::MatchingContext context(&benchmark.task);
-          matchers::RegistryOptions registry;
-          registry.epoch_scale = epoch_scale;
-          auto lineup = matchers::BuildMatcherLineup(registry);
-          for (const auto& score : core::ScoreLineup(context, &lineup)) {
-            scores.push_back({id, score.name, score.group, score.f1});
-          }
-          return Status::OK();
-        });
-    benchutil::SaveScores("table6_scores", scores);
-  }
-
-  TablePrinter table(
+  auto ids = benchutil::NewTasks::SelectIds(flags, run);
+  size_t failed = benchutil::PrintPractical(
+      run, flags, ids, "table6_scores", "table6_matchers_new",
+      [&](size_t* recompute_failed) {
+        benchutil::NewTasks tasks(flags, run, 4000);
+        return benchutil::ScoreLineups(run, flags, tasks, ids,
+                                       "table6_scores", recompute_failed);
+      },
       "Figure 6 (data series): NLB and LBM per new benchmark");
-  table.SetHeader({"dataset", "NLB%", "LBM%", "best nonlinear",
-                   "best linear"});
-  run.manifest().BeginPhase("practical");
-  for (const auto& id : ids) {
-    std::vector<core::MatcherScore> dataset_scores;
-    for (const auto& row : scores) {
-      if (row.dataset == id) {
-        dataset_scores.push_back({row.matcher, row.group, row.f1});
-      }
-    }
-    if (dataset_scores.empty()) continue;
-    auto practical = core::ComputePractical(dataset_scores);
-    table.AddRow({id, benchutil::Pct(practical.non_linear_boost),
-                  benchutil::Pct(practical.learning_based_margin),
-                  benchutil::F3(practical.best_nonlinear_f1),
-                  benchutil::F3(practical.best_linear_f1)});
-  }
-  run.manifest().EndPhase();
-  table.Print(std::cout);
   std::printf(
       "\nReading: the paper finds both measures well above 5%% for Dn1,\n"
       "Dn2, Dn6, Dn7 and near zero for the linearly separable Dn3/Dn8.\n");

@@ -6,98 +6,21 @@
 // Flags: --max-pairs=<n> (default 4000; the matcher sweep is the expensive
 //        part of the reproduction), --datasets=..., --epoch-scale=<f>.
 #include <cstdio>
-#include <iostream>
-#include <map>
 
 #include "bench_util.h"
-#include "common/strings.h"
-#include "common/table_printer.h"
-#include "core/practical.h"
-#include "datagen/catalog.h"
-#include "datagen/task_builder.h"
-#include "matchers/registry.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  size_t max_pairs = static_cast<size_t>(flags.GetInt("max-pairs", 4000));
-  double epoch_scale = flags.GetDouble("epoch-scale", 1.0);
-
   benchutil::BenchRun run("table4_matchers");
-  run.manifest().AddConfig("max_pairs", static_cast<int64_t>(max_pairs));
-  run.manifest().AddConfig("epoch_scale", epoch_scale);
-
-  std::vector<std::string> fallback;
-  for (const auto& spec : datagen::ExistingBenchmarks()) {
-    fallback.push_back(spec.id);
-  }
-  auto ids = benchutil::SelectIds(flags, fallback);
-  run.manifest().SetDatasets(ids);
-
-  // matcher name -> dataset -> F1 (insertion-ordered rows).
-  std::vector<std::string> row_order;
-  std::map<std::string, std::map<std::string, double>> matrix;
-  std::map<std::string, matchers::MatcherGroup> groups;
-  std::vector<benchutil::CachedScore> cache;
-
-  size_t failed = benchutil::ForEachDataset(
-      run, ids, [&](const std::string& id) -> Status {
-        const auto* spec = datagen::FindExistingBenchmark(id);
-        if (spec == nullptr) {
-          return Status::NotFound("unknown dataset id " + id);
-        }
-        double scale = benchutil::AutoScale(spec->total_pairs, max_pairs);
-        std::fprintf(stderr, "[table4] %s (scale %.3f)...\n", id.c_str(),
-                     scale);
-        auto task = datagen::BuildExistingBenchmark(*spec, scale);
-        matchers::MatchingContext context(&task);
-
-        matchers::RegistryOptions registry;
-        registry.epoch_scale = epoch_scale;
-        auto lineup = matchers::BuildMatcherLineup(registry);
-        auto scores = core::ScoreLineup(context, &lineup);
-        for (const auto& score : scores) {
-          if (matrix.find(score.name) == matrix.end()) {
-            row_order.push_back(score.name);
-          }
-          matrix[score.name][id] = score.f1;
-          groups[score.name] = score.group;
-          cache.push_back({id, score.name, score.group, score.f1});
-        }
-        return Status::OK();
-      });
-
-  TablePrinter table("Table IV: F1 per method and dataset (x100)");
-  std::vector<std::string> header = {"method"};
-  header.insert(header.end(), ids.begin(), ids.end());
-  table.SetHeader(std::move(header));
-
-  auto section = [&](matchers::MatcherGroup group, const char* label) {
-    table.AddRow({label});
-    for (const auto& name : row_order) {
-      if (groups[name] != group) continue;
-      std::vector<std::string> row = {name};
-      for (const auto& id : ids) {
-        auto it = matrix[name].find(id);
-        row.push_back(it == matrix[name].end() ? "-"
-                                               : benchutil::Pct(it->second));
-      }
-      table.AddRow(std::move(row));
-    }
-    table.AddSeparator();
-  };
-  section(matchers::MatcherGroup::kDeepLearning,
-          "(a) DL-based matching algorithms");
-  section(matchers::MatcherGroup::kClassicMl,
-          "(b) Non-neural, non-linear ML-based matching algorithms");
-  section(matchers::MatcherGroup::kLinear,
-          "(c) Non-neural, linear supervised matching algorithms");
-  section(matchers::MatcherGroup::kZeroShot,
-          "(d) Training-free zero-shot matching algorithms");
-  table.Print(std::cout);
-
-  benchutil::SaveScores("table4_scores", cache);
+  benchutil::ExistingTasks tasks(flags, run, 4000);
+  auto ids = benchutil::ExistingTasks::SelectIds(flags, run);
+  size_t failed = 0;
+  auto scores = benchutil::ScoreLineups(run, flags, tasks, ids,
+                                        "table4_scores", &failed);
+  benchutil::PrintMatcherTable("Table IV: F1 per method and dataset (x100)",
+                               ids, scores);
   std::printf("\nScores cached to %s/table4_scores.csv (used by "
               "fig3_practical).\n",
               benchutil::ResultsDir().c_str());

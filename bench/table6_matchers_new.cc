@@ -5,109 +5,21 @@
 // Flags: --scale, --recall, --kmax, --max-pairs (default 4000, caps the
 //        candidate set fed to the matchers), --epoch-scale, --datasets=...
 #include <cstdio>
-#include <iostream>
-#include <map>
-#include <utility>
 
 #include "bench_util.h"
-#include "common/rng.h"
-#include "common/table_printer.h"
-#include "core/benchmark_builder.h"
-#include "core/practical.h"
-#include "data/split.h"
-#include "datagen/catalog.h"
-#include "matchers/registry.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  double scale = flags.GetDouble("scale", 0.35);
-  double recall = flags.GetDouble("recall", 0.9);
-  int k_max = static_cast<int>(flags.GetInt("kmax", 64));
-  size_t max_pairs = static_cast<size_t>(flags.GetInt("max-pairs", 4000));
-  double epoch_scale = flags.GetDouble("epoch-scale", 1.0);
-
   benchutil::BenchRun run("table6_matchers_new");
-  run.manifest().AddConfig("scale", scale);
-  run.manifest().AddConfig("recall", recall);
-  run.manifest().AddConfig("kmax", static_cast<int64_t>(k_max));
-  run.manifest().AddConfig("max_pairs", static_cast<int64_t>(max_pairs));
-  run.manifest().AddConfig("epoch_scale", epoch_scale);
-
-  std::vector<std::string> fallback;
-  for (const auto& spec : datagen::SourceDatasets()) {
-    fallback.push_back(spec.id);
-  }
-  auto ids = benchutil::SelectIds(flags, fallback);
-  run.manifest().SetDatasets(ids);
-
-  std::vector<std::string> row_order;
-  std::map<std::string, std::map<std::string, double>> matrix;
-  std::map<std::string, matchers::MatcherGroup> groups;
-  std::vector<benchutil::CachedScore> cache;
-
-  size_t failed = benchutil::ForEachDataset(
-      run, ids, [&](const std::string& id) -> Status {
-        const auto* spec = datagen::FindSourceDataset(id);
-        if (spec == nullptr) {
-          return Status::NotFound("unknown dataset id " + id);
-        }
-        std::fprintf(stderr, "[table6] %s...\n", id.c_str());
-        core::NewBenchmarkOptions options;
-        options.scale = scale;
-        options.min_recall = recall;
-        options.k_max = k_max;
-        auto built = core::BuildNewBenchmark(*spec, options);
-        if (!built.ok()) return built.status();
-        core::NewBenchmark benchmark = std::move(built).value();
-        benchutil::CapPairs(&benchmark.task, max_pairs);
-        matchers::MatchingContext context(&benchmark.task);
-
-        matchers::RegistryOptions registry;
-        registry.epoch_scale = epoch_scale;
-        auto lineup = matchers::BuildMatcherLineup(registry);
-        auto scores = core::ScoreLineup(context, &lineup);
-        for (const auto& score : scores) {
-          if (matrix.find(score.name) == matrix.end()) {
-            row_order.push_back(score.name);
-          }
-          matrix[score.name][id] = score.f1;
-          groups[score.name] = score.group;
-          cache.push_back({id, score.name, score.group, score.f1});
-        }
-        return Status::OK();
-      });
-
-  TablePrinter table("Table VI: F1 per method and new dataset (x100)");
-  std::vector<std::string> header = {"method"};
-  header.insert(header.end(), ids.begin(), ids.end());
-  table.SetHeader(std::move(header));
-  auto section = [&](matchers::MatcherGroup group, const char* label) {
-    table.AddRow({label});
-    for (const auto& name : row_order) {
-      if (groups[name] != group) continue;
-      std::vector<std::string> row = {name};
-      for (const auto& id : ids) {
-        auto it = matrix[name].find(id);
-        row.push_back(it == matrix[name].end() ? "-"
-                                               : benchutil::Pct(it->second));
-      }
-      table.AddRow(std::move(row));
-    }
-    table.AddSeparator();
-  };
-  section(matchers::MatcherGroup::kDeepLearning,
-          "(a) DL-based matching algorithms");
-  section(matchers::MatcherGroup::kClassicMl,
-          "(b) Non-neural, non-linear ML-based matching algorithms");
-  section(matchers::MatcherGroup::kLinear,
-          "(c) Non-neural, linear supervised matching algorithms");
-  section(matchers::MatcherGroup::kZeroShot,
-          "(d) Training-free zero-shot matching algorithms");
-  table.Print(std::cout);
-
-  benchutil::SaveScores("table6_scores", cache);
+  benchutil::NewTasks tasks(flags, run, 4000);
+  auto ids = benchutil::NewTasks::SelectIds(flags, run);
+  size_t failed = 0;
+  auto scores = benchutil::ScoreLineups(run, flags, tasks, ids,
+                                        "table6_scores", &failed);
+  benchutil::PrintMatcherTable(
+      "Table VI: F1 per method and new dataset (x100)", ids, scores);
   std::printf("\nScores cached to %s/table6_scores.csv (used by "
               "fig6_practical_new).\n",
               benchutil::ResultsDir().c_str());

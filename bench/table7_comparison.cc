@@ -10,85 +10,54 @@
 // Flags: --scale, --recall, --kmax, --max-pairs (existing side).
 #include <cstdio>
 #include <iostream>
-#include <iterator>
 #include <string>
 
 #include "bench_util.h"
 #include "common/table_printer.h"
-#include "core/benchmark_builder.h"
-#include "datagen/catalog.h"
-#include "datagen/task_builder.h"
 
 using namespace rlbench;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  double scale = flags.GetDouble("scale", 0.35);
-  double recall = flags.GetDouble("recall", 0.9);
-  int k_max = static_cast<int>(flags.GetInt("kmax", 64));
-  size_t max_pairs = static_cast<size_t>(flags.GetInt("max-pairs", 60000));
-
   benchutil::BenchRun run("table7_comparison");
-  run.manifest().AddConfig("scale", scale);
-  run.manifest().AddConfig("recall", recall);
-  run.manifest().AddConfig("kmax", static_cast<int64_t>(k_max));
-  run.manifest().AddConfig("max_pairs", static_cast<int64_t>(max_pairs));
+  benchutil::NewTasks new_tasks(flags, run);
+  benchutil::ExistingTasks existing_tasks(flags, run, 60000);
 
-  // The paper's same-origin pairs: (existing, new).
-  const std::pair<const char*, const char*> kPairs[] = {
+  // The paper's same-origin pairs: (existing, new), one dataset each.
+  const std::pair<std::string, std::string> kPairs[] = {
       {"Dt1", "Dn1"}, {"Ds1", "Dn3"}, {"Ds2", "Dn8"}, {"Ds4", "Dn7"},
       {"Ds6", "Dn2"}};
-
-  TablePrinter table("Table VII: existing vs new benchmarks (same origin)");
-  table.SetHeader({"existing", "PC", "PQ", "IR", "new", "PC", "PQ", "IR"});
-
-  size_t failed = 0;
+  std::vector<std::string> ids;
   for (const auto& [existing_id, new_id] : kPairs) {
     run.manifest().AddDataset(existing_id);
     run.manifest().AddDataset(new_id);
-    std::string pair_name = std::string(existing_id) + "+" + new_id;
-    run.manifest().BeginPhase("dataset/" + pair_name);
-    const auto* existing_spec = datagen::FindExistingBenchmark(existing_id);
-    const auto* new_spec = datagen::FindSourceDataset(new_id);
-    if (existing_spec == nullptr || new_spec == nullptr) {
-      ++failed;
-      run.manifest().FailPhase("unknown dataset pair " + pair_name);
-      run.manifest().EndPhase();
-      std::fprintf(stderr, "bench: pair %s unknown (continuing)\n",
-                   pair_name.c_str());
-      continue;
-    }
-    std::fprintf(stderr, "[table7] %s vs %s...\n", existing_id, new_id);
+    ids.push_back(existing_id + "+" + new_id);
+  }
 
-    double existing_scale =
-        benchutil::AutoScale(existing_spec->total_pairs, max_pairs);
-    auto task = datagen::BuildExistingBenchmark(*existing_spec,
-                                                existing_scale);
-    auto stats = task.TotalStats();
+  std::vector<std::vector<std::string>> rows(ids.size());
+  size_t failed = benchutil::ForEachDataset(
+      run, ids, [&](size_t i) -> Status {
+        const auto& [existing_id, new_id] = kPairs[i];
+        RLBENCH_ASSIGN_OR_RETURN(data::MatchingTask task,
+                                 existing_tasks.Task(existing_id));
+        auto stats = task.TotalStats();
+        RLBENCH_ASSIGN_OR_RETURN(core::NewBenchmark benchmark,
+                                 new_tasks.Build(new_id));
+        auto new_stats = benchmark.task.TotalStats();
+        rows[i] = {
+            existing_id, benchutil::F3(1.0),  // all labelled matches included
+            benchutil::F3(stats.ImbalanceRatio()),
+            benchutil::Pct(stats.ImbalanceRatio()) + "%", new_id,
+            benchutil::F3(benchmark.blocking.metrics.pair_completeness),
+            benchutil::F3(benchmark.blocking.metrics.pairs_quality),
+            benchutil::Pct(new_stats.ImbalanceRatio()) + "%"};
+        return Status::OK();
+      });
 
-    core::NewBenchmarkOptions options;
-    options.scale = scale;
-    options.min_recall = recall;
-    options.k_max = k_max;
-    auto benchmark = core::BuildNewBenchmark(*new_spec, options);
-    if (!benchmark.ok()) {
-      ++failed;
-      run.manifest().FailPhase(benchmark.status().ToString());
-      run.manifest().EndPhase();
-      std::fprintf(stderr, "bench: dataset %s failed: %s (continuing)\n",
-                   new_id, benchmark.status().ToString().c_str());
-      continue;
-    }
-    auto new_stats = benchmark->task.TotalStats();
-
-    table.AddRow(
-        {existing_id, benchutil::F3(1.0),  // all labelled matches included
-         benchutil::F3(stats.ImbalanceRatio()),
-         benchutil::Pct(stats.ImbalanceRatio()) + "%", new_id,
-         benchutil::F3(benchmark->blocking.metrics.pair_completeness),
-         benchutil::F3(benchmark->blocking.metrics.pairs_quality),
-         benchutil::Pct(new_stats.ImbalanceRatio()) + "%"});
-    run.manifest().EndPhase();
+  TablePrinter table("Table VII: existing vs new benchmarks (same origin)");
+  table.SetHeader({"existing", "PC", "PQ", "IR", "new", "PC", "PQ", "IR"});
+  for (auto& row : rows) {
+    if (!row.empty()) table.AddRow(std::move(row));
   }
   table.Print(std::cout);
   std::printf(
@@ -96,5 +65,5 @@ int main(int argc, char** argv) {
       "far higher PQ than a fine-tuned blocker can achieve, evidence that\n"
       "an arbitrary number of negative pairs was inserted or removed.\n");
   run.Finish();
-  return failed == std::size(kPairs) ? 1 : 0;
+  return failed == ids.size() ? 1 : 0;
 }

@@ -1,43 +1,27 @@
 #!/usr/bin/env bash
-# One-shot pre-PR gate (and future CI entry point):
-#   1. configure + build + ctest under ASan/UBSan (warnings as errors)
+# One-shot pre-PR gate (and CI entry point). Six stages:
+#   1. configure + build + ctest under ASan/UBSan (warnings as errors).
+#      The ctest suite includes repo lint, its rule self-tests, the
+#      negative-compilation fixtures, the observability end-to-end check
+#      (obs_manifest_validate), the paper-bench smoke and the bench smokes
+#      (micro_kernels, macro_bulk, micro_serve --storm, micro_drift), so
+#      they all run under the sanitizers here
 #   2. serve smoke: rlbench_serve on a loopback port (shed tier + linear
 #      fallback armed), rlbench_client round-trip (ping/match/assess/
 #      reload/shadow lifecycle), clean shutdown — all under the stage-1
 #      sanitizers
-#   3. serve overload storm smoke: micro_serve --storm --smoke under
-#      ASan/UBSan — an open-loop multi-tenant burst that must walk the
-#      shed ladder (>= 1 transition, degraded traffic bit-identical to the
-#      linear fallback) with per-tier counts recorded in the manifest's
-#      results
-#   4. drift loop smoke: micro_drift --smoke under ASan/UBSan — a
-#      difficulty shift must be detected, the EnsembleLink candidate
-#      retrained, snapshot round-tripped, shadow-promoted, and a faulted
-#      shadow window rolled back; the drift_* manifest results validated
-#   5. TSan build + the concurrency-bearing tests (parallel pool, the
+#   3. TSan build + the concurrency-bearing tests (parallel pool, the
 #      columnar store's parallel build and concurrent reads, thread-count
 #      invariance, metrics shards)
-#   6. observability end-to-end: one bench with RLBENCH_METRICS +
-#      RLBENCH_TRACE, manifest + trace validated by
-#      tools/validate_manifest.py
-#   7. vectorized kernels: the differential + golden suites, the
-#      columnar store tests, panel MLP training vs its per-sample oracle
-#      and the incremental DeepBlocker tuner vs its exhaustive scan, re-run
-#      explicitly under ASan/UBSan, plus a micro_kernels smoke
-#      (scalar-vs-vectorized checksums asserted inside the bench; no perf
-#      thresholds under sanitizers)
-#   8. out-of-core bulk smoke: macro_bulk --smoke (20k records through
-#      both blocking modes, spill-to-disk, per-shard manifests) under the
-#      sanitizers, validated by tools/validate_manifest.py
-#   9. fault-injection storm: a real bench under RLBENCH_FAULTS across 8
+#   4. fault-injection storm: a real bench under RLBENCH_FAULTS across 8
 #      seeds with ASan/UBSan armed — graceful degradation may fail
 #      datasets, but a crash/abort/sanitizer report fails the gate
-#  10. repo lint (tools/rlbench_lint.py), its rule self-tests, and the
-#      negative-compilation fixtures (tests/static/)
-#  11. Clang thread-safety analysis: full build under -Wthread-safety
-#      -Wthread-safety-beta -Werror=thread-safety-analysis (skipped with
-#      a warning if clang++ is not installed — GCC has no such analysis)
-#  12. clang-tidy over src/ (skipped with a warning if not installed)
+#   5. Clang thread-safety analysis: full build under -Wthread-safety
+#      -Wthread-safety-beta -Werror=thread-safety-analysis, then the
+#      negative-compilation fixtures again with Clang, whose thread-safety
+#      fixtures GCC cannot check (skipped with a warning if clang++ is not
+#      installed)
+#   6. clang-tidy over src/ (skipped with a warning if not installed)
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -48,7 +32,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 SCRATCH_ROOT="$(mktemp -d "${TMPDIR:-/tmp}/rlbench_check.XXXXXX")"
 trap 'rm -rf "${SCRATCH_ROOT}"' EXIT
 
-echo "== [1/12] build + test under ASan/UBSan =="
+echo "== [1/6] build + test under ASan/UBSan =="
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRLBENCH_SANITIZE="address;undefined" \
@@ -62,7 +46,7 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
     ctest --output-on-failure -j "${JOBS}"
 )
 
-echo "== [2/12] serve smoke (client/server round-trip under ASan/UBSan) =="
+echo "== [2/6] serve smoke (client/server round-trip under ASan/UBSan) =="
 SERVE_DIR="${SCRATCH_ROOT}/serve"
 mkdir -p "${SERVE_DIR}"
 PORT_FILE="${SERVE_DIR}/port"
@@ -117,77 +101,7 @@ if grep -qE "AddressSanitizer|LeakSanitizer|runtime error:" \
 fi
 echo "serve smoke: round-trip ok, clean shutdown"
 
-echo "== [3/12] serve overload storm smoke (micro_serve --storm) =="
-# Open-loop multi-tenant overload against the shed-enabled service. The
-# bench itself RLBENCH_CHECKs the robustness contract in --smoke mode:
-# at least one shed transition fired, degraded traffic exists, and every
-# sampled degraded response is bit-identical to the linear fallback run
-# directly. The manifest assertions below keep the per-tier counts
-# flowing into the artifact's results (so a reporting regression can't
-# pass).
-STORM_DIR="${SCRATCH_ROOT}/serve_storm"
-mkdir -p "${STORM_DIR}"
-(
-  cd "${STORM_DIR}"
-  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ASAN_OPTIONS="detect_leaks=1" \
-    "${BUILD_DIR}/bench/micro_serve" --storm --smoke --scale=0.2 \
-    --requests=200
-)
-python3 - "${STORM_DIR}/bench_results/micro_serve.manifest.json" <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    results = json.load(f).get("results", {})
-for key in ("storm_tier_full", "storm_tier_degraded", "storm_tier_rejected",
-            "storm_shed_transitions", "storm_shadow_agreement",
-            "storm_identity_checked"):
-    if key not in results:
-        sys.exit(f"storm smoke: manifest results missing {key}")
-if int(results["storm_shed_transitions"]) < 1:
-    sys.exit("storm smoke: manifest records no shed transitions")
-if int(results["storm_tier_degraded"]) < 1:
-    sys.exit("storm smoke: manifest records no degraded requests")
-print("storm manifest: per-tier counts present, ladder exercised")
-PYEOF
-echo "storm smoke: shed ladder walked, degraded tier bit-identical"
-
-echo "== [4/12] drift loop smoke (micro_drift --smoke) =="
-# The full reaction under sanitizers: a difficulty shift is detected by
-# the drift controller, the EnsembleLink candidate is retrained mid-serve,
-# its snapshot round-trips bit-exactly, the shadow gate promotes it, and
-# the follow-up episode with candidate-scoring faults armed must roll
-# back. All assertions live inside the bench (RLBENCH_CHECK); the
-# validator + key checks below keep the drift_* numbers in the artifact
-# (the window size is an input, in config; the rest are results).
-DRIFT_DIR="${SCRATCH_ROOT}/drift"
-mkdir -p "${DRIFT_DIR}"
-(
-  cd "${DRIFT_DIR}"
-  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ASAN_OPTIONS="detect_leaks=1" \
-    "${BUILD_DIR}/bench/micro_drift" --smoke
-)
-python3 "${REPO_ROOT}/tools/validate_manifest.py" \
-  "${DRIFT_DIR}/bench_results/micro_drift.manifest.json"
-python3 - "${DRIFT_DIR}/bench_results/micro_drift.manifest.json" <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    manifest = json.load(f)
-config, results = manifest["config"], manifest.get("results", {})
-if "drift_window_pairs" not in config:
-    sys.exit("drift smoke: manifest config missing drift_window_pairs")
-for key in ("drift_state", "drift_transitions",
-            "drift_windows_to_trigger", "drift_sampling_overhead_ratio",
-            "drift_swap_recovery_requests"):
-    if key not in results:
-        sys.exit(f"drift smoke: manifest results missing {key}")
-if int(results["drift_triggers"]) < 2:
-    sys.exit("drift smoke: both drift episodes should have triggered")
-print("drift manifest: detection, recovery and rollback recorded")
-PYEOF
-echo "drift smoke: detect -> retrain -> shadow promote, faulted episode rolled back"
-
-echo "== [5/12] concurrency tests under TSan =="
+echo "== [3/6] concurrency tests under TSan =="
 TSAN_DIR="${REPO_ROOT}/build-tsan"
 cmake -B "${TSAN_DIR}" -S "${REPO_ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -218,56 +132,7 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" --target \
 )
 echo "TSan: clean"
 
-echo "== [6/12] observability end-to-end =="
-python3 "${REPO_ROOT}/tools/validate_manifest.py" --run \
-  "${BUILD_DIR}/bench/table3_datasets" --datasets=Ds1 --scale=0.05
-echo "observability: manifest + trace validate"
-
-echo "== [7/12] vectorized kernels: differential suite + bench smoke =="
-# The kernel suites are part of stage 1's full ctest; run them again by
-# explicit filter so a test-registration change can never silently drop
-# the scalar-vs-vectorized gate from this script.
-(
-  cd "${BUILD_DIR}"
-  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ASAN_OPTIONS="detect_leaks=1" \
-    ./tests/text_test --gtest_filter='KernelsDifferential*:KernelsGolden*'
-  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ASAN_OPTIONS="detect_leaks=1" \
-    ./tests/data_test --gtest_filter='Columnar*'
-  # Panel MLP training vs the per-sample oracle, and the incremental
-  # DeepBlocker K scan vs the exhaustive re-materialising scan.
-  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ASAN_OPTIONS="detect_leaks=1" \
-    ./tests/ml_test --gtest_filter='MlpPanelTest.*'
-  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ASAN_OPTIONS="detect_leaks=1" \
-    ./tests/block_test \
-    --gtest_filter='DeepBlockerTest.IncrementalTunerMatchesExhaustiveScan'
-)
-# micro_kernels asserts scalar == vectorized checksums internally; scale
-# and rounds stay tiny because sanitizer timings are meaningless anyway
-# (only its flagless reference invocation writes BENCH_kernels.json).
-(
-  cd "${SCRATCH_ROOT}"
-  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ASAN_OPTIONS="detect_leaks=1" \
-    "${BUILD_DIR}/bench/micro_kernels" --scale=0.2 --repeats=1 --rounds=2
-)
-echo "kernels: differential suites + smoke clean"
-
-echo "== [8/12] out-of-core bulk resolution smoke =="
-# macro_bulk --smoke streams 20k records through both blocking modes
-# (sorted-neighborhood external sort, MinHash hash partitioning) with the
-# sanitizers armed; validate_manifest.py --run checks the run manifest,
-# every per-shard manifest (peak_rss_bytes included), and the trace.
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-ASAN_OPTIONS="detect_leaks=1" \
-  python3 "${REPO_ROOT}/tools/validate_manifest.py" --run \
-  "${BUILD_DIR}/bench/macro_bulk" --smoke
-echo "bulk smoke: both modes resolved out of core, manifests validate"
-
-echo "== [9/12] fault-injection storm =="
+echo "== [4/6] fault-injection storm =="
 # Drive a real bench through seeded fault storms with the sanitizers armed.
 # The degradation contract: failed datasets are fine (the bench exits 0
 # while at least one dataset survives, 1 when all fail), but any abort,
@@ -302,24 +167,7 @@ for seed in 1 2 3 4 5 6 7 8; do
 done
 echo "fault storm: clean (8 seeds, no crashes, no sanitizer reports)"
 
-echo "== [10/12] repo lint + self-test + negative compilation =="
-python3 "${REPO_ROOT}/tools/rlbench_lint.py" --root "${REPO_ROOT}"
-python3 "${REPO_ROOT}/tools/rlbench_lint.py" --self-test
-# The negative-compilation fixtures also run as a ctest in stage 1; run
-# them here with the best compiler available so the Clang-only
-# thread-safety fixtures are exercised whenever clang++ is installed.
-CFT_CXX="$(command -v clang++ || true)"
-CFT_ID="Clang"
-if [[ -z "${CFT_CXX}" ]]; then
-  CFT_CXX="$(command -v g++ || true)"
-  CFT_ID="GNU"
-fi
-python3 "${REPO_ROOT}/tests/static/compile_fail_test.py" \
-  --compiler "${CFT_CXX}" --compiler-id "${CFT_ID}" \
-  --include "${REPO_ROOT}/src"
-echo "repo lint: clean"
-
-echo "== [11/12] Clang thread-safety analysis =="
+echo "== [5/6] Clang thread-safety analysis =="
 TS_CLANG="$(command -v clang++ || true)"
 if [[ -z "${TS_CLANG}" ]]; then
   for v in 18 17 16 15 14; do
@@ -340,9 +188,12 @@ else
     -DRLBENCH_THREAD_SAFETY=ON
   cmake --build "${TS_DIR}" -j "${JOBS}"
   echo "thread-safety analysis: clean"
+  # The negative-compilation fixtures with Clang: the must-not-compile
+  # thread-safety fixtures only prove anything under Clang's analysis.
+  (cd "${TS_DIR}" && ctest -R compile_fail_test --output-on-failure)
 fi
 
-echo "== [12/12] clang-tidy =="
+echo "== [6/6] clang-tidy =="
 TIDY_BIN="$(command -v clang-tidy || true)"
 if [[ -z "${TIDY_BIN}" ]]; then
   for v in 18 17 16 15 14; do

@@ -29,6 +29,14 @@ const char* DomainName(Domain domain) {
   return "unknown";
 }
 
+std::optional<Domain> DomainFromName(std::string_view name) {
+  for (int i = 0; i <= static_cast<int>(Domain::kProductText); ++i) {
+    auto domain = static_cast<Domain>(i);
+    if (name == DomainName(domain)) return domain;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 data::Schema SchemaFor(Domain domain) {

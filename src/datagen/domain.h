@@ -11,7 +11,9 @@
 #define RLBENCH_SRC_DATAGEN_DOMAIN_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -30,10 +32,13 @@ enum class Domain {
   kBeer,           // BeerAdvo-RateBeer
   kMovie,          // IMDB / TMDB / TVDB pairs
   kCompanyText,    // Company (textual)
-  kProductText,    // Abt-Buy (textual)
+  kProductText,    // Abt-Buy (textual); keep last (DomainFromName scans to it)
 };
 
 const char* DomainName(Domain domain);
+
+/// The domain whose DomainName() is `name`; nullopt for any other name.
+std::optional<Domain> DomainFromName(std::string_view name);
 
 /// \brief Deterministic generator of canonical entities for one domain.
 class DomainGenerator {

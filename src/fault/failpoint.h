@@ -27,9 +27,11 @@
 //
 // Determinism caveat: the n-th-evaluation counter is per clause, so the
 // schedule is deterministic whenever matching failpoints are evaluated in
-// a deterministic order. All current failpoints sit on serial paths (file
-// IO, import, benchmark building); a failpoint inside a ParallelFor body
-// would be deterministic only at a fixed thread count.
+// a deterministic order. Each failpoint sits on a serial path (file IO,
+// import, benchmark building), but a multi-dataset bench runs its
+// datasets concurrently on the pool, so which dataset a clause's n-th
+// evaluation hits depends on scheduling. RLBENCH_THREADS=1 runs the pool
+// inline in id order, which reproduces a schedule exactly.
 //
 // A malformed spec in RLBENCH_FAULTS aborts at first resolution with a
 // parse error: a typo'd spec silently injecting nothing would invalidate

@@ -73,6 +73,10 @@ TEST_P(DomainParamTest, DeterministicForSeed) {
   EXPECT_EQ(a.MakeFamily(2)[1].values, b.MakeFamily(2)[1].values);
 }
 
+TEST_P(DomainParamTest, NameRoundTrips) {
+  EXPECT_EQ(DomainFromName(DomainName(GetParam())), GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllDomains, DomainParamTest,
     ::testing::Values(Domain::kBibliographic, Domain::kProduct,
@@ -82,6 +86,13 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Domain>& info) {
       return DomainName(info.param);
     });
+
+TEST(DomainTest, UnknownNameRejected) {
+  EXPECT_EQ(DomainFromName("prodcut"), std::nullopt);
+  EXPECT_EQ(DomainFromName(""), std::nullopt);
+  EXPECT_EQ(DomainFromName("unknown"), std::nullopt);
+  EXPECT_EQ(DomainFromName("Product"), std::nullopt);
+}
 
 TEST(DomainTest, ProductSiblingKeepsBrandChangesCode) {
   DomainGenerator generator(Domain::kProduct, 3);

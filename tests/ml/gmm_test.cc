@@ -2,7 +2,6 @@
 
 #include "common/rng.h"
 #include "ml/gmm_em.h"
-#include "ml/knn.h"
 
 namespace rlbench::ml {
 namespace {
@@ -69,40 +68,6 @@ TEST(GmmTest, EmptyInputSafe) {
   gmm.Fit(Dataset(2));
   std::vector<float> row = {0.5F, 0.5F};
   EXPECT_DOUBLE_EQ(gmm.PredictScore(row), 0.0);
-}
-
-DistanceFn Euclid() {
-  return [](const std::vector<double>& a, const std::vector<double>& b) {
-    double sum = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-      sum += (a[i] - b[i]) * (a[i] - b[i]);
-    }
-    return sum;
-  };
-}
-
-TEST(KnnTest, NearestNeighborExcludesSelf) {
-  std::vector<LabeledPoint> points = {
-      {{0.0, 0.0}, false}, {{0.1, 0.0}, true}, {{5.0, 5.0}, false}};
-  EXPECT_EQ(NearestNeighbor(points, points[0].x, Euclid(), 0), 1u);
-  EXPECT_EQ(NearestNeighbor(points, points[0].x, Euclid(), SIZE_MAX), 0u);
-}
-
-TEST(KnnTest, LeaveOneOutErrorRate) {
-  // Two tight clusters, one mislabelled point inside the wrong cluster.
-  std::vector<LabeledPoint> points = {
-      {{0.0, 0.0}, false}, {{0.1, 0.1}, false}, {{0.05, 0.0}, false},
-      {{1.0, 1.0}, true},  {{1.1, 1.0}, true},  {{0.02, 0.05}, true}};
-  double error = LeaveOneOut1NnErrorRate(points, Euclid());
-  // The intruder misclassifies itself and pollutes its nearest neighbour.
-  EXPECT_NEAR(error, 2.0 / 6.0, 1e-9);
-}
-
-TEST(KnnTest, PerfectClustersZeroError) {
-  std::vector<LabeledPoint> points = {
-      {{0.0, 0.0}, false}, {{0.1, 0.1}, false},
-      {{1.0, 1.0}, true},  {{1.1, 1.0}, true}};
-  EXPECT_DOUBLE_EQ(LeaveOneOut1NnErrorRate(points, Euclid()), 0.0);
 }
 
 }  // namespace

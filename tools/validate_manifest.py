@@ -11,13 +11,15 @@ Two modes:
       additionally get their window size, controller state, and measure
       ranges checked. A published bench result (a file named BENCH_*.json)
       must carry a non-empty, all-numeric "results" object and must not
-      come from a smoke run.
+      come from a smoke run. Manifests carrying storm_* results
+      (bench/micro_serve --storm) must record every shed tier and show the
+      ladder was walked.
 
   validate_manifest.py --run <bench_binary> [bench args...]
       Run a bench binary in a scratch directory with RLBENCH_METRICS=1 and
       RLBENCH_TRACE set, then validate every manifest it wrote plus the
-      trace. This is what the `obs_manifest_validate` ctest and the obs
-      stage of scripts/check.sh execute.
+      trace. This is what the `obs_manifest_validate` ctest and the bench
+      smoke ctests (bench/CMakeLists.txt) execute.
 
 Exit status: 0 when everything validates, 1 with one "path: message" per
 problem on stderr.
@@ -89,14 +91,25 @@ def validate_drift_results(errors, path, config, results):
     if not drift_keys:
         return
     # A manifest that reports anything about drift must pin down the
-    # window size, the controller's final state, and how often it moved.
-    for section, values, key in (("config", config, "drift_window_pairs"),
-                                 ("results", results, "drift_state"),
-                                 ("results", results, "drift_transitions")):
+    # window size, the controller's final state, how often it moved and
+    # triggered, how fast it reacted, and what watching it cost.
+    required = [("config", config, "drift_window_pairs")] + [
+        ("results", results, key) for key in (
+            "drift_state", "drift_transitions", "drift_triggers",
+            "drift_windows_to_trigger", "drift_sampling_overhead_ratio",
+            "drift_swap_recovery_requests")]
+    for section, values, key in required:
         if key not in values:
             fail(errors, path, f"drift results present ({sorted(drift_keys)})"
                                f" but required {section} key '{key}' is "
                                f"missing")
+    # A smoke run drives two episodes, the second with faulted shadow
+    # scoring; both must trigger.
+    triggers = results.get("drift_triggers")
+    if config.get("smoke") in (True, "true") and \
+            isinstance(triggers, numbers.Real) and triggers < 2:
+        fail(errors, path, f"drift smoke run triggered {triggers} time(s); "
+                           f"both drift episodes should have triggered")
     state = results.get("drift_state")
     if state is not None and not (is_whole(state, 0) and
                                   state < len(DRIFT_STATES)):
@@ -129,6 +142,28 @@ def validate_drift_results(errors, path, config, results):
                 or value < low:
             fail(errors, path, f"'{key}' must be a number >= {low} "
                                f"(got {value!r})")
+
+
+# Serve storm manifests (bench/micro_serve --storm) record the traffic per
+# shed tier; a storm that never moved the ladder or degraded a request did
+# not exercise it.
+STORM_KEYS = ("storm_tier_full", "storm_tier_degraded", "storm_tier_rejected",
+              "storm_shed_transitions", "storm_shadow_agreement",
+              "storm_identity_checked")
+
+
+def validate_storm_results(errors, path, results):
+    if not any(key.startswith("storm_") for key in results):
+        return
+    for key in STORM_KEYS:
+        if key not in results:
+            fail(errors, path, f"storm results missing '{key}'")
+    for key, what in (("storm_shed_transitions", "shed transitions"),
+                      ("storm_tier_degraded", "degraded requests")):
+        value = results.get(key)
+        if isinstance(value, numbers.Real) and value < 1:
+            fail(errors, path, f"storm records no {what} ('{key}' is "
+                               f"{value!r})")
 
 
 def validate_manifest(errors, path, manifest):
@@ -171,6 +206,7 @@ def validate_manifest(errors, path, manifest):
                     not math.isfinite(value):
                 fail(errors, path, f"result '{name}' is not a finite number "
                                    f"(got {value!r})")
+    validate_storm_results(errors, path, results or {})
     if config is not None:
         validate_drift_results(errors, path, config, results or {})
         if published and config.get("smoke") in (True, "true"):
