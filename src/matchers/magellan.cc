@@ -66,9 +66,10 @@ std::unique_ptr<ml::Classifier> BuildClassifier(MagellanClassifier classifier,
 /// Scoring recomputes MagellanFeaturesColumnar for the requested pairs
 /// through the same ml::Dataset::BuildParallel fill that MatchingContext
 /// uses for its cached feature datasets, so a served row carries the
-/// identical bits the classifier saw during Run(). Decisions come from the
-/// classifier's own Predict (the SVM thresholds its raw margin, not the
-/// sigmoid score).
+/// identical bits the classifier saw during Run(). Scores and decisions
+/// come from one PredictScored pass, whose decision is the classifier's
+/// own Predict rule (the SVM thresholds its raw margin, not the sigmoid
+/// score).
 class TrainedMagellanModel final : public TrainedModel {
  public:
   TrainedMagellanModel(MagellanClassifier classifier, uint64_t seed,
@@ -112,8 +113,9 @@ class TrainedMagellanModel final : public TrainedModel {
               return pairs[i].is_match;
             }));
     ParallelFor(0, pairs.size(), kPairGrain, [&](size_t i) {
-      scores[i] = model_->PredictScore(rows.row(i));
-      decisions[i] = model_->Predict(rows.row(i)) ? 1 : 0;
+      ml::ScoredDecision scored = model_->PredictScored(rows.row(i));
+      scores[i] = scored.score;
+      decisions[i] = scored.match ? 1 : 0;
     });
     return Status::OK();
   }

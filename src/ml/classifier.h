@@ -12,6 +12,12 @@
 
 namespace rlbench::ml {
 
+/// A row's score together with its hard decision.
+struct ScoredDecision {
+  double score = 0.0;
+  bool match = false;
+};
+
 /// \brief Supervised binary classifier over dense feature rows.
 ///
 /// Implementations are deterministic given their constructor seed. The
@@ -32,6 +38,13 @@ class Classifier {
   /// Hard decision; default thresholds PredictScore at 0.5.
   virtual bool Predict(std::span<const float> row) const {
     return PredictScore(row) >= 0.5;
+  }
+
+  /// PredictScore and Predict from one scoring pass. The default decides
+  /// score >= 0.5; a classifier that overrides Predict overrides this too.
+  virtual ScoredDecision PredictScored(std::span<const float> row) const {
+    double score = PredictScore(row);
+    return {score, score >= 0.5};
   }
 
   /// Predict all rows of a dataset.

@@ -64,8 +64,10 @@ double LinearSvm::Margin(std::span<const float> row) const {
   return z;
 }
 
-double LinearSvm::PredictScore(std::span<const float> row) const {
-  double z = Margin(row);
+namespace {
+
+/// Logistic link of a margin, split by sign so exp never overflows.
+double MarginScore(double z) {
   double score;
   if (z >= 0.0) {
     score = 1.0 / (1.0 + std::exp(-z));
@@ -75,6 +77,17 @@ double LinearSvm::PredictScore(std::span<const float> row) const {
   }
   RLBENCH_DCHECK_PROB(score);
   return score;
+}
+
+}  // namespace
+
+double LinearSvm::PredictScore(std::span<const float> row) const {
+  return MarginScore(Margin(row));
+}
+
+ScoredDecision LinearSvm::PredictScored(std::span<const float> row) const {
+  double z = Margin(row);
+  return {MarginScore(z), z >= 0.0};
 }
 
 void LinearSvm::Save(BlobWriter* writer) const {

@@ -32,6 +32,9 @@ class LinearSvm : public Classifier {
   bool Predict(std::span<const float> row) const override {
     return Margin(row) >= 0.0;
   }
+  /// One margin: the score's sigmoid can round to 0.5 at a tiny negative
+  /// margin, so the decision keeps the margin rule of Predict.
+  ScoredDecision PredictScored(std::span<const float> row) const override;
 
   /// Raw signed distance-like margin w·x + b (positive = match side).
   double Margin(std::span<const float> row) const;

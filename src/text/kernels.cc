@@ -1,13 +1,21 @@
 #include "text/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 
 #if defined(__GNUC__) && defined(__x86_64__)
 #include <immintrin.h>
+#endif
+
+// SSE2 is part of the x86-64 baseline: no runtime dispatch.
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#define RLBENCH_KERNELS_HAVE_SSE2 1
 #endif
 
 #include "common/check.h"
@@ -364,80 +372,145 @@ double LevenshteinSimilarityBanded(std::string_view a, std::string_view b) {
                    static_cast<double>(longest);
 }
 
-double JaroKernel(std::string_view a, std::string_view b) {
-  if (a.size() > 64 || b.size() > 64) return JaroSimilarity(a, b);
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  if (a == b) return 1.0;
-  size_t window =
-      std::max(a.size(), b.size()) / 2 == 0
-          ? 0
-          : std::max(a.size(), b.size()) / 2 - 1;
-  uint64_t matched_a = 0;
-  uint64_t matched_b = 0;
-  size_t matches = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    size_t lo = i > window ? i - window : 0;
-    size_t hi = std::min(b.size(), i + window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (((matched_b >> j) & 1u) == 0 && a[i] == b[j]) {
+namespace {
+
+/// Bits [0, n) set, for n in [0, 64].
+uint64_t LowBits(size_t n) {
+  return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+}
+
+/// The `b` operand of Jaro(a, b), prepared once and reusable across many
+/// `a`: a zero-padded 64-byte copy, so the 16-byte compares below never
+/// read past the caller's bytes. An operand over kJaroMaskBytes is not
+/// copied; every Jaro against it takes the scalar reference.
+class JaroTarget {
+ public:
+  explicit JaroTarget(std::string_view b) : b_(b) {
+    if (b.size() > kJaroMaskBytes) return;
+    std::memset(padded_, 0, sizeof(padded_));
+    b.copy(padded_, b.size());
+  }
+
+  /// Bit j set iff padded byte j equals c. Bits at or past b's length are
+  /// padding and may be set (c == '\0'); callers mask them off.
+  uint64_t Positions(char c) const {
+#ifdef RLBENCH_KERNELS_HAVE_SSE2
+    const __m128i needle = _mm_set1_epi8(c);
+    auto lane = [&](size_t k) {
+      __m128i bytes =
+          _mm_load_si128(reinterpret_cast<const __m128i*>(padded_ + 16 * k));
+      return uint64_t{static_cast<uint32_t>(
+                 _mm_movemask_epi8(_mm_cmpeq_epi8(bytes, needle)))}
+             << (16 * k);
+    };
+    uint64_t mask = lane(0);
+    if (b_.size() > 16) mask |= lane(1) | lane(2) | lane(3);
+    return mask;
+#else
+    uint64_t mask = 0;
+    for (size_t j = 0; j < b_.size(); ++j) {
+      mask |= uint64_t{padded_[j] == c} << j;
+    }
+    return mask;
+#endif
+  }
+
+  /// BIT-EXACT vs text::JaroSimilarity(a, b).
+  double Jaro(std::string_view a) const {
+    std::string_view b = b_;
+    if (a.size() > kJaroMaskBytes || b.size() > kJaroMaskBytes) {
+      return JaroSimilarity(a, b);
+    }
+    if (a.empty() && b.empty()) return 1.0;
+    if (a.empty() || b.empty()) return 0.0;
+    if (a == b) return 1.0;
+    size_t window = std::max(a.size(), b.size()) / 2 == 0
+                        ? 0
+                        : std::max(a.size(), b.size()) / 2 - 1;
+    // The scalar scan stops at the lowest unmatched b position inside the
+    // window that holds a[i]: that is the lowest set bit of the equality
+    // mask ANDed with the window (which ends at b's length) and with the
+    // still-unmatched positions.
+    uint64_t matched_a = 0;
+    uint64_t matched_b = 0;
+    size_t matches = 0;
+    for (size_t i = 0; i < a.size(); ++i) {
+      size_t lo = i > window ? i - window : 0;
+      size_t hi = std::min(b.size(), i + window + 1);
+      uint64_t open = LowBits(hi) & ~LowBits(lo) & ~matched_b;
+      uint64_t hits = Positions(a[i]) & open;
+      if (hits != 0) {
         matched_a |= uint64_t{1} << i;
-        matched_b |= uint64_t{1} << j;
+        matched_b |= hits & (~hits + 1);
         ++matches;
-        break;
       }
     }
+    if (matches == 0) return 0.0;
+    // Transpositions: the k-th matched byte of a against the k-th of b.
+    size_t transpositions = 0;
+    for (uint64_t ra = matched_a, rb = matched_b; ra != 0;
+         ra &= ra - 1, rb &= rb - 1) {
+      transpositions += static_cast<size_t>(a[std::countr_zero(ra)] !=
+                                            b[std::countr_zero(rb)]);
+    }
+    double m = static_cast<double>(matches);
+    double sim = (m / static_cast<double>(a.size()) +
+                  m / static_cast<double>(b.size()) +
+                  (m - static_cast<double>(transpositions) / 2.0) / m) /
+                 3.0;
+    RLBENCH_DCHECK_PROB(sim);
+    return sim;
   }
-  if (matches == 0) return 0.0;
-  // Transpositions among matched characters, in order — identical walk to
-  // the scalar reference's vector<bool> scan.
-  size_t transpositions = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (((matched_a >> i) & 1u) == 0) continue;
-    while (((matched_b >> j) & 1u) == 0) ++j;
-    if (a[i] != b[j]) ++transpositions;
-    ++j;
+
+  /// BIT-EXACT vs text::JaroWinklerSimilarity(a, b).
+  double JaroWinkler(std::string_view a) const {
+    double jaro = Jaro(a);
+    size_t prefix = 0;
+    size_t limit = std::min({a.size(), b_.size(), size_t{4}});
+    while (prefix < limit && a[prefix] == b_[prefix]) ++prefix;
+    return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
   }
-  double m = static_cast<double>(matches);
-  double sim = (m / static_cast<double>(a.size()) +
-                m / static_cast<double>(b.size()) +
-                (m - static_cast<double>(transpositions) / 2.0) / m) /
-               3.0;
-  RLBENCH_DCHECK_PROB(sim);
-  return sim;
+
+ private:
+  std::string_view b_;
+  alignas(16) char padded_[kJaroMaskBytes];
+};
+
+}  // namespace
+
+double JaroKernel(std::string_view a, std::string_view b) {
+  return JaroTarget(b).Jaro(a);
 }
 
 double JaroWinklerKernel(std::string_view a, std::string_view b) {
-  double jaro = JaroKernel(a, b);
-  size_t prefix = 0;
-  size_t limit = std::min({a.size(), b.size(), size_t{4}});
-  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
+  return JaroTarget(b).JaroWinkler(a);
 }
-
-namespace {
-
-double MongeElkanDirected(std::span<const std::string_view> from,
-                          std::span<const std::string_view> to) {
-  double total = 0.0;
-  for (std::string_view t : from) {
-    double best = 0.0;
-    for (std::string_view u : to) {
-      best = std::max(best, JaroWinklerKernel(t, u));
-    }
-    total += best;
-  }
-  return total / static_cast<double>(from.size());
-}
-
-}  // namespace
 
 double MongeElkanKernel(std::span<const std::string_view> a,
                         std::span<const std::string_view> b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  return 0.5 * (MongeElkanDirected(a, b) + MongeElkanDirected(b, a));
+  RLBENCH_CHECK_LE(a.size(), kMongeElkanMaxTokens);
+  RLBENCH_CHECK_LE(b.size(), kMongeElkanMaxTokens);
+  // Jaro-Winkler(t, u) and (u, t) have the same bits (docs/kernels.md), so
+  // one pass fills both directed sums: row maxima for a->b, column maxima
+  // for b->a, each summed in its own token order like the reference.
+  double row_max[kMongeElkanMaxTokens] = {};
+  double b_to_a = 0.0;
+  for (std::string_view u : b) {
+    JaroTarget target(u);
+    double col_max = 0.0;
+    for (size_t i = 0; i < a.size(); ++i) {
+      double sim = target.JaroWinkler(a[i]);
+      row_max[i] = std::max(row_max[i], sim);
+      col_max = std::max(col_max, sim);
+    }
+    b_to_a += col_max;
+  }
+  double a_to_b = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) a_to_b += row_max[i];
+  return 0.5 * (a_to_b / static_cast<double>(a.size()) +
+                b_to_a / static_cast<double>(b.size()));
 }
 
 bool ParseNumeric(std::string_view value, double* out) {

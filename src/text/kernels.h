@@ -129,18 +129,35 @@ inline constexpr size_t kLevenshteinStackCap = 128;
 
 // --- Jaro family without per-pair allocation -----------------------------
 
-/// BIT-EXACT vs text::JaroSimilarity. Uses uint64 match bitmasks instead of
-/// two heap vector<bool>; strings longer than 64 bytes fall back to the
-/// scalar reference (Magellan truncates to 48 chars, so the hot path never
-/// allocates).
+/// Longest operand the Jaro kernels handle with position masks.
+inline constexpr size_t kJaroMaskBytes = 64;
+
+/// BIT-EXACT vs text::JaroSimilarity. b is copied into a zero-padded
+/// 64-byte stack buffer; each a[i] finds its greedy match with one
+/// byte-compare of all of b (SSE2 on x86-64), giving a 64-bit position
+/// mask that is ANDed with a[i]'s window (which ends at |b|) and with b's
+/// unmatched positions. Its lowest set bit is where the reference's scan
+/// stops. Transpositions are counted by walking the two match masks. A
+/// string over kJaroMaskBytes falls back to the scalar reference
+/// (Magellan truncates to 48 chars, so the hot path never allocates).
 [[nodiscard]] double JaroKernel(std::string_view a, std::string_view b);
 
-/// BIT-EXACT vs text::JaroWinklerSimilarity.
+/// BIT-EXACT vs text::JaroWinklerSimilarity. Symmetric bit for bit:
+/// JaroWinklerKernel(a, b) == JaroWinklerKernel(b, a) (docs/kernels.md).
 [[nodiscard]] double JaroWinklerKernel(std::string_view a, std::string_view b);
 
+/// Most tokens per side MongeElkanKernel accepts (its row maxima live on
+/// the stack); the Magellan caller caps lists at 12.
+inline constexpr size_t kMongeElkanMaxTokens = 64;
+
 /// BIT-EXACT vs text::MongeElkanSimilarity over the same token lists.
+/// Scores each token pair's Jaro-Winkler once, in one |a|x|b| pass that
+/// prepares each b token once: row maxima give the a->b sum and column
+/// maxima the b->a sum (the reference scores every pair once per
+/// direction; Jaro-Winkler's symmetry makes the two the same bits).
 /// Operates on string_view spans into the columnar token arena, so the
-/// per-pair CapTokens copy of the row path disappears.
+/// per-pair CapTokens copy of the row path disappears. RLBENCH_CHECKs
+/// that neither side exceeds kMongeElkanMaxTokens.
 [[nodiscard]] double MongeElkanKernel(std::span<const std::string_view> a,
                                       std::span<const std::string_view> b);
 

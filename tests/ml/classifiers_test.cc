@@ -109,6 +109,28 @@ TEST(LinearSvmTest, CannotSolveXor) {
   EXPECT_LT(static_cast<double>(correct) / train.size(), 0.72);
 }
 
+// PredictScored is one scoring pass that must return exactly what
+// PredictScore and Predict return separately, for every classifier
+// (LinearSvm decides by its margin, the others by score >= 0.5).
+TEST(ClassifierTest, PredictScoredAgreesWithPredictScoreAndPredict) {
+  Dataset train = XorData(400, 21);
+  Dataset test = LinearBlobs(200, 22, 0.3);
+  LogisticRegression lr;
+  LinearSvm svm;
+  DecisionTree dt;
+  RandomForest rf;
+  Classifier* all[] = {&lr, &svm, &dt, &rf};
+  for (Classifier* model : all) {
+    SCOPED_TRACE(model->name());
+    model->Fit(train, {});
+    for (size_t i = 0; i < test.size(); ++i) {
+      ScoredDecision scored = model->PredictScored(test.row(i));
+      ASSERT_EQ(scored.score, model->PredictScore(test.row(i))) << "row " << i;
+      ASSERT_EQ(scored.match, model->Predict(test.row(i))) << "row " << i;
+    }
+  }
+}
+
 TEST(DecisionTreeTest, SolvesXor) {
   Dataset train = XorData(600, 8);
   Dataset test = XorData(200, 9);

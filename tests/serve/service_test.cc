@@ -46,12 +46,18 @@ class ServiceTest : public ::testing::Test {
 data::MatchingTask* ServiceTest::task_ = nullptr;
 
 // For each servable family, predictions served through the snapshot model
-// must equal the matcher's own Run() — same bits, same decisions.
+// must equal the matcher's own Run() — same bits, same decisions. All four
+// Magellan classifiers are covered, so each one's decision rule (the SVM's
+// margin, the others' score >= 0.5) is pinned against its Run().
 TEST_F(ServiceTest, ServedDecisionsEqualDirectRunPerFamily) {
-  matchers::MagellanMatcher magellan(matchers::MagellanClassifier::kLinearSvm);
+  matchers::MagellanMatcher dt(matchers::MagellanClassifier::kDecisionTree);
+  matchers::MagellanMatcher lr(
+      matchers::MagellanClassifier::kLogisticRegression);
+  matchers::MagellanMatcher rf(matchers::MagellanClassifier::kRandomForest);
+  matchers::MagellanMatcher svm(matchers::MagellanClassifier::kLinearSvm);
   matchers::ZeroErMatcher zeroer;
   matchers::EsdeMatcher esde(matchers::EsdeVariant::kSchemaAgnostic);
-  matchers::Matcher* all[] = {&magellan, &zeroer, &esde};
+  matchers::Matcher* all[] = {&dt, &lr, &rf, &svm, &zeroer, &esde};
   for (matchers::Matcher* matcher : all) {
     SCOPED_TRACE(matcher->name());
     matchers::MatchingContext context(task_);

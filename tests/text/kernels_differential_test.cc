@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -240,6 +241,84 @@ TEST(KernelsDifferentialTest, JaroFamilyMatchesScalar) {
   EXPECT_EQ(JaroKernel("a", ""), JaroSimilarity("a", ""));
 }
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// The single-pass Monge-Elkan kernel scores Jaro-Winkler(t, u) once and
+// uses it for (u, t) too. Exhaustive over every string of at most 6 chars
+// over {a,b,c} (1,093 strings, ~1.2M ordered pairs): the kernel is
+// symmetric bit for bit and equals the scalar reference in both orders.
+TEST(KernelsDifferentialTest, JaroWinklerSymmetricOverAllShortStrings) {
+  std::vector<std::string> strings = {""};
+  for (size_t begin = 0, len = 1; len <= 6; ++len) {
+    size_t end = strings.size();
+    for (size_t s = begin; s < end; ++s) {
+      for (char c : {'a', 'b', 'c'}) strings.push_back(strings[s] + c);
+    }
+    begin = end;
+  }
+  ASSERT_EQ(strings.size(), 1093u);
+  size_t asymmetric = 0;
+  size_t off_reference = 0;
+  for (const std::string& a : strings) {
+    for (const std::string& b : strings) {
+      uint64_t ab = Bits(JaroWinklerKernel(a, b));
+      if (ab != Bits(JaroWinklerKernel(b, a))) {
+        ADD_FAILURE_AT(__FILE__, __LINE__) << "asymmetric: " << a << " " << b;
+        if (++asymmetric > 5) return;
+      }
+      if (ab != Bits(JaroWinklerSimilarity(a, b))) {
+        ADD_FAILURE_AT(__FILE__, __LINE__) << "off reference: " << a << " "
+                                           << b;
+        if (++off_reference > 5) return;
+      }
+    }
+  }
+}
+
+// Lengths on both sides of the 16-byte lanes and of the 64-bit masks (65
+// takes the scalar fallback), over bytes >= 0x80 and embedded NULs: a NUL
+// in `a` must never match the zero padding past the end of `b`.
+TEST(KernelsDifferentialTest, JaroAtLaneAndMaskEdges) {
+  Rng rng(SplitSeed(kBaseSeed, 12));
+  constexpr size_t kLengths[] = {0,  1,  15, 16, 17, 31, 32,
+                                 33, 47, 48, 49, 63, 64, 65};
+  constexpr char kBytes[] = {'a', 'b', 'c', '\0', '\x80', '\xc3', '\xff'};
+  auto random_bytes = [&](size_t n) {
+    std::string s(n, '\0');
+    for (char& c : s) c = kBytes[rng.Index(std::size(kBytes))];
+    return s;
+  };
+  auto check = [](const std::string& a, const std::string& b) {
+    ASSERT_EQ(Bits(JaroKernel(a, b)), Bits(JaroSimilarity(a, b)))
+        << "|a|=" << a.size() << " |b|=" << b.size();
+    ASSERT_EQ(Bits(JaroWinklerKernel(a, b)), Bits(JaroWinklerSimilarity(a, b)))
+        << "|a|=" << a.size() << " |b|=" << b.size();
+  };
+  for (size_t la : kLengths) {
+    for (size_t lb : kLengths) {
+      for (int rep = 0; rep < 6; ++rep) {
+        std::string a = random_bytes(la);
+        std::string b = random_bytes(lb);
+        check(a, b);
+        // A near-copy: many in-window matches, a few transpositions.
+        std::string near = a;
+        for (size_t k = 0; k < 3 && !near.empty(); ++k) {
+          std::swap(near[rng.Index(near.size())],
+                    near[rng.Index(near.size())]);
+        }
+        check(a, near);
+      }
+      // b followed by NULs: every extra NUL of a faces b's padding.
+      std::string b = random_bytes(lb);
+      std::string padded = b + std::string(la > lb ? la - lb : 1, '\0');
+      check(padded, b);
+      check(b, padded);
+    }
+  }
+}
+
+// Token lists from a pool with repeats, 63/64/65/90-byte tokens (the last
+// two take the scalar entry) and list sizes up to the kernel's cap.
 TEST(KernelsDifferentialTest, MongeElkanMatchesScalar) {
   Rng rng(SplitSeed(kBaseSeed, 5));
   for (size_t iter = 0; iter < 1500; ++iter) {
@@ -248,6 +327,33 @@ TEST(KernelsDifferentialTest, MongeElkanMatchesScalar) {
     std::vector<std::string_view> va(ta.begin(), ta.end());
     std::vector<std::string_view> vb(tb.begin(), tb.end());
     EXPECT_EQ(MongeElkanKernel(va, vb), MongeElkanSimilarity(ta, tb));
+  }
+  std::vector<std::string> pool;
+  for (size_t len : {63u, 64u, 65u, 90u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      std::string s;
+      while (s.size() < len) s += RandomRawString(rng, 8);
+      s.resize(len);
+      pool.push_back(s);
+    }
+  }
+  for (int rep = 0; rep < 24; ++rep) pool.push_back(RandomToken(rng));
+  constexpr size_t kSizes[] = {1, 2, 12, 13, 33, kMongeElkanMaxTokens};
+  for (size_t na : kSizes) {
+    for (size_t nb : kSizes) {
+      std::vector<std::string> ta;
+      std::vector<std::string> tb;
+      for (size_t i = 0; i < na; ++i) ta.push_back(pool[rng.Index(pool.size())]);
+      for (size_t i = 0; i < nb; ++i) tb.push_back(pool[rng.Index(pool.size())]);
+      std::vector<std::string_view> va(ta.begin(), ta.end());
+      std::vector<std::string_view> vb(tb.begin(), tb.end());
+      ASSERT_EQ(Bits(MongeElkanKernel(va, vb)),
+                Bits(MongeElkanSimilarity(ta, tb)))
+          << na << "x" << nb;
+      ASSERT_EQ(Bits(MongeElkanKernel(vb, va)),
+                Bits(MongeElkanSimilarity(tb, ta)))
+          << nb << "x" << na;
+    }
   }
 }
 
